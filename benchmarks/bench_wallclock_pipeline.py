@@ -154,8 +154,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
+        # argparse %-formats help text, so the rendered "%" is doubled.
         help=f"compare against {RESULT_PATH.name} instead of rewriting it; "
-             f"fail if below {CHECK_FLOOR:.0%} of the committed rate",
+             f"fail if below {CHECK_FLOOR:.0%}% of the committed rate",
     )
     parser.add_argument("--output", type=Path, default=RESULT_PATH)
     args = parser.parse_args(argv)

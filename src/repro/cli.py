@@ -557,7 +557,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Conformance verification: explorer sweep, self-check, or replay."""
     import dataclasses
 
-    from repro.core import monitor as monitor_mod
     from repro.verify import (
         BUDGETS,
         explore,
@@ -584,33 +583,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = BUDGETS[args.budget]
     if args.target is not None:
         spec = dataclasses.replace(spec, target_schedules=args.target)
-    inject = args.inject_bug is not None
-    if inject:
-        monitor_mod.INJECT_STALE_POLICY_EPOCH = True
-    try:
-        report = explore(spec, seed=args.seed, progress=None)
-        for line in report.summary_lines():
-            print(line)
-        if inject:
-            # Self-check mode: the sweep MUST catch the planted bug and
-            # shrink it to a small replayable repro.
-            if not report.failures:
-                print(f"FAIL: injected bug {args.inject_bug!r} was NOT "
-                      "caught by the explorer")
-                return 1
-            repro = shrink_failure(report.failures[0])
-            save_repro(args.output, repro)
-            print(f"injected bug caught and shrunk to {len(repro.steps)} "
-                  f"steps -> {args.output}")
-            print(f"  {repro.violation.describe()}")
-            print(f"  replay: python -m repro verify --replay {args.output}")
-            if len(repro.steps) > 10:
-                print("FAIL: shrunk repro exceeds 10 steps")
-                return 1
-            return 0
-    finally:
-        if inject:
-            monitor_mod.INJECT_STALE_POLICY_EPOCH = False
+    report = explore(spec, seed=args.seed, inject_bug=args.inject_bug)
+    for line in report.summary_lines():
+        print(line)
+    if args.inject_bug is not None:
+        # Self-check mode: the sweep MUST catch the planted bug and
+        # shrink it to a small replayable repro.
+        if not report.failures:
+            print(f"FAIL: injected bug {args.inject_bug!r} was NOT "
+                  "caught by the explorer")
+            return 1
+        repro = shrink_failure(report.failures[0])
+        save_repro(args.output, repro)
+        print(f"injected bug caught and shrunk to {len(repro.steps)} "
+              f"steps -> {args.output}")
+        print(f"  {repro.violation.describe()}")
+        print(f"  replay: python -m repro verify --replay {args.output}")
+        if len(repro.steps) > 10:
+            print("FAIL: shrunk repro exceeds 10 steps")
+            return 1
+        return 0
 
     if report.failures:
         repro = shrink_failure(report.failures[0])
@@ -862,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--inject-bug", choices=["cache-epoch"],
                           default=None,
                           help="self-check: plant a stale-cache-epoch authz "
-                               "bug behind the test-only hook and require "
+                               "bug on every explored monitor and require "
                                "the explorer to catch and shrink it")
     p_verify.set_defaults(fn=cmd_verify)
 
@@ -900,7 +892,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "conformance", False) and not args.single:
+        # Without --single the full demo runs and no oracle is attached.
+        parser.error(f"{args.command}: --conformance requires --single")
     return args.fn(args)
 
 

@@ -200,9 +200,9 @@ def run_cluster_workload(
     other guest — so the same scripts replay against any fleet shape and
     the per-guest digests are directly comparable across shapes.
 
-    ``conformance=True`` piggybacks the charge-free reference-model
-    oracle (:mod:`repro.verify.oracle`) on every host's monitor and
-    raises if any authorization decision disagrees with it.
+    ``conformance=True`` piggybacks the conformance oracle
+    (:mod:`repro.verify.oracle`) on every host's monitor and raises if
+    any authorization decision disagrees with it.
     """
     fresh_timing_context()
     with contextlib.ExitStack() as stack:

@@ -3,15 +3,23 @@
 The vTPM manager calls :meth:`Monitor.authorize` for every command packet
 *before* it reaches a vTPM instance.  The baseline monitor reproduces
 stock Xen (trust whatever the backend claims, no checks, no cost); the
-access-control monitor performs the paper's checks:
+access-control monitor performs the paper's checks.  The decision itself
+is one function, :func:`decide`:
 
 1. **binding** — the caller domain's *measured identity* must equal the
    identity the instance was created for (defeats domid recycling and
    rogue backend re-binding);
 2. **policy** — the (identity, instance, ordinal-class) triple must be
    granted (defeats over-broad command access, e.g. a guest driving
-   owner-admin ordinals at another instance);
-3. **audit** — the decision is appended to the hash-chained log.
+   owner-admin ordinals at another instance).
+
+:class:`AccessControlMonitor` wraps it in a fixed per-command path:
+**parse** the frame (malformed frames are denied), consult the
+supervisor's **health** veto, answer from the **decision cache** or call
+:func:`decide`, then **audit** the verdict to the hash-chained log —
+through exactly one allow helper and one deny helper.  The conformance
+oracle (:mod:`repro.verify.oracle`) calls the same :func:`decide`,
+without the cache, to check the monitor's glue around it.
 
 The monitor also owns the **authorization decision cache**: the paper's
 argument is that these checks are a small per-command constant, and for
@@ -40,7 +48,12 @@ from typing import Dict, Optional, Tuple
 from repro.core.audit import AuditLog
 from repro.core.config import AccessControlConfig
 from repro.core.identity import IdentityRegistry
-from repro.core.policy import PolicyEngine, classify_ordinal
+from repro.core.policy import (
+    CommandClass,
+    Decision,
+    PolicyEngine,
+    classify_ordinal,
+)
 from repro.obs import counters as obs_counters
 from repro.obs import trace as obs_trace
 from repro.obs.trace import NULL_SPAN
@@ -137,12 +150,45 @@ class BaselineMonitor(Monitor):
         )
 
 
-#: TEST-ONLY fault-injection hook for the verification subsystem.  When
-#: true, the decision cache's composite epoch ignores policy-version
-#: bumps, so a cached *allow* survives a revocation — exactly the class
-#: of bug the conformance explorer exists to catch.  Never set outside
-#: ``repro verify --inject-bug`` self-checks and tests.
-INJECT_STALE_POLICY_EPOCH = False
+def decide(
+    identities: IdentityRegistry,
+    policy: PolicyEngine,
+    config: AccessControlConfig,
+    caller: Domain,
+    instance_id: int,
+    bound_identity_hex: Optional[str],
+    ordinal: int,
+) -> Tuple[str, Decision]:
+    """The authorization decision: identity binding, then policy.
+
+    Returns the subject the decision was made for (the caller's measured
+    identity once verified, ``dom<N>`` before that) and the verdict.  No
+    cache, no audit, no counters: the only side effects are the virtual
+    time charged by :meth:`IdentityRegistry.verify_current` and
+    :meth:`PolicyEngine.decide`.
+    """
+    subject = f"dom{caller.domid}"
+    if config.identity_check:
+        try:
+            subject = identities.verify_current(caller).hex
+        except IdentityError as exc:
+            return subject, Decision(allowed=False, reason=str(exc))
+        if bound_identity_hex is not None and subject != bound_identity_hex:
+            return subject, Decision(
+                allowed=False,
+                reason=f"instance {instance_id} is bound to identity "
+                f"{bound_identity_hex[:12]}…, caller is {subject[:12]}…",
+            )
+    else:
+        # Policy-only ablation: use the registered identity as the
+        # subject without re-verifying it (trust-but-lookup), so policy
+        # rules keyed by identity still apply.
+        known = identities.lookup(caller.domid)
+        if known is not None:
+            subject = known.hex
+    if not config.policy_check:
+        return subject, Decision(allowed=True, reason="policy check disabled")
+    return subject, policy.decide(subject, instance_id, ordinal)
 
 
 class AccessControlMonitor(Monitor):
@@ -231,12 +277,29 @@ class AccessControlMonitor(Monitor):
                 _AC_DECISIONS_DENY.inc()
         return result
 
+    def health_veto(
+        self, instance_id: int, command_class: CommandClass
+    ) -> Optional[str]:
+        """The supervisor's deny reason for this command, or ``None``.
+
+        Charge-free.  With the supervisor's unhealthy-instance index
+        installed, the steady-state cost is one membership test; the full
+        gate walk runs only while this instance is actually unhealthy.
+        """
+        gate = self.health_gate
+        if gate is None:
+            return None
+        index = self.health_index
+        if index is not None and instance_id not in index:
+            return None
+        return gate(instance_id, command_class)
+
     def _authorize(
         self, caller: Domain, instance_id: int, bound_identity_hex: Optional[str],
         wire: bytes, span, tracer,
     ) -> AuthorizationResult:
         self.checks += 1
-        if tracer is None:
+        with NULL_SPAN if tracer is None else tracer.start_span("parse"):
             try:
                 parsed = parse_command(wire)
             except MarshalError as exc:  # malformed frames: deny early
@@ -244,41 +307,23 @@ class AccessControlMonitor(Monitor):
                     f"dom{caller.domid}", instance_id, "malformed",
                     f"unparseable command frame: {exc}",
                 )
-        else:
-            with tracer.start_span("parse"):
-                try:
-                    parsed = parse_command(wire)
-                except MarshalError as exc:
-                    return self._deny(
-                        f"dom{caller.domid}", instance_id, "malformed",
-                        f"unparseable command frame: {exc}",
-                    )
         ordinal = parsed.ordinal
-        config = self.config
         command_class = classify_ordinal(ordinal)
+        operation = ordinal_name(ordinal)
 
         # Resilience gating runs before the decision cache: health state
         # changes without bumping any cache epoch, so a cached allow must
-        # never bypass a quarantine.  The gate itself is charge-free.
-        # With the supervisor's unhealthy-instance index installed, the
-        # steady-state cost is one membership test; the full gate walk
-        # runs only while this instance is actually unhealthy.
-        gate = self.health_gate
-        if gate is not None:
-            index = self.health_index
-            if index is None or instance_id in index:
-                veto = gate(instance_id, command_class)
-                if veto is not None:
-                    return self._deny(
-                        f"dom{caller.domid}", instance_id,
-                        ordinal_name(ordinal), veto,
-                    )
+        # never bypass a quarantine.
+        if self.health_gate is not None:
+            veto = self.health_veto(instance_id, command_class)
+            if veto is not None:
+                return self._deny(
+                    f"dom{caller.domid}", instance_id, operation, veto
+                )
 
         cache_key: Optional[Tuple] = None
-        if config.authz_cache:
-            epoch = (self._epoch, self.policy.version, self.identities.version)
-            if INJECT_STALE_POLICY_EPOCH:  # test-only, see module docstring
-                epoch = (epoch[0], self._cache_epoch[1], epoch[2])
+        if self.config.authz_cache:
+            epoch = self._current_epoch()
             if epoch != self._cache_epoch:
                 self._cache.clear()
                 self._cache_epoch = epoch
@@ -290,83 +335,27 @@ class AccessControlMonitor(Monitor):
                 self.cache_hits += 1
                 _AC_CACHE_HIT.inc()
                 charge("ac.policy.cache_hit")
+                span.set("cache", "hit")
                 subject, reason = hit
-                operation = ordinal_name(ordinal)
-                if config.audit:
-                    if tracer is None:
-                        self.audit.append_buffered(
-                            subject, instance_id, operation, True, reason
-                        )
-                    else:
-                        span.set("cache", "hit")
-                        with tracer.start_span("audit"):
-                            self.audit.append_buffered(
-                                subject, instance_id, operation, True, reason
-                            )
-                elif tracer is not None:
-                    span.set("cache", "hit")
-                return AuthorizationResult(
-                    allowed=True, subject=subject, operation=operation,
-                    reason=reason, parsed=parsed,
+                return self._allow(
+                    subject, instance_id, operation, reason, parsed
                 )
             self.cache_misses += 1
             span.set("cache", "miss")
             _AC_CACHE_MISS.inc()
 
-        operation = ordinal_name(ordinal)
-
-        # 1. identity binding
-        subject = f"dom{caller.domid}"
-        if not config.identity_check:
-            # Policy-only ablation: use the registered identity as the
-            # subject without re-verifying it (trust-but-lookup), so policy
-            # rules keyed by identity still apply.
-            known = self.identities.lookup(caller.domid)
-            if known is not None:
-                subject = known.hex
-        if config.identity_check:
-            try:
-                identity = self.identities.verify_current(caller)
-            except IdentityError as exc:
-                return self._deny(subject, instance_id, operation, str(exc))
-            subject = identity.hex
-            if bound_identity_hex is not None and subject != bound_identity_hex:
-                return self._deny(
-                    subject,
-                    instance_id,
-                    operation,
-                    f"instance {instance_id} is bound to identity "
-                    f"{bound_identity_hex[:12]}…, caller is {subject[:12]}…",
-                )
-
-        # 2. policy
-        if config.policy_check:
-            decision = self.policy.decide(subject, instance_id, ordinal)
-            if not decision.allowed:
-                return self._deny(subject, instance_id, operation, decision.reason)
-            reason = decision.reason
-        else:
-            reason = "policy check disabled"
-
+        subject, decision = decide(
+            self.identities, self.policy, self.config, caller, instance_id,
+            bound_identity_hex, ordinal,
+        )
+        if not decision.allowed:
+            return self._deny(subject, instance_id, operation, decision.reason)
         # Only allows are cached; denials always re-derive so a fixed
         # policy or repaired identity takes effect immediately.
         if cache_key is not None:
-            self._cache[cache_key] = (subject, reason)
-
-        # 3. audit the allow
-        if config.audit:
-            if tracer is None:
-                self.audit.append_buffered(
-                    subject, instance_id, operation, True, reason
-                )
-            else:
-                with tracer.start_span("audit"):
-                    self.audit.append_buffered(
-                        subject, instance_id, operation, True, reason
-                    )
-        return AuthorizationResult(
-            allowed=True, subject=subject, operation=operation, reason=reason,
-            parsed=parsed,
+            self._cache[cache_key] = (subject, decision.reason)
+        return self._allow(
+            subject, instance_id, operation, decision.reason, parsed
         )
 
     def on_fault(self, instance_id: int, exc: Exception) -> None:
@@ -396,21 +385,31 @@ class AccessControlMonitor(Monitor):
                 subject, instance_id, "VTPM_Rebind", False, reason
             )
 
+    def _allow(
+        self, subject: str, instance_id: int, operation: str, reason: str,
+        parsed: ParsedCommand,
+    ) -> AuthorizationResult:
+        if self.config.audit:
+            tracer = obs_trace._current_tracer
+            with NULL_SPAN if tracer is None else tracer.start_span("audit"):
+                self.audit.append_buffered(
+                    subject, instance_id, operation, True, reason
+                )
+        return AuthorizationResult(
+            allowed=True, subject=subject, operation=operation, reason=reason,
+            parsed=parsed,
+        )
+
     def _deny(
         self, subject: str, instance_id: int, operation: str, reason: str
     ) -> AuthorizationResult:
         self.denials += 1
         if self.config.audit:
             tracer = obs_trace._current_tracer
-            if tracer is None:
+            with NULL_SPAN if tracer is None else tracer.start_span("audit"):
                 self.audit.append_buffered(
                     subject, instance_id, operation, False, reason
                 )
-            else:
-                with tracer.start_span("audit"):
-                    self.audit.append_buffered(
-                        subject, instance_id, operation, False, reason
-                    )
         return AuthorizationResult(
             allowed=False, subject=subject, operation=operation, reason=reason
         )

@@ -131,7 +131,6 @@ class PolicyEngine:
         self._by_subject: Dict[str, set] = {}
         self._by_instance: Dict[object, set] = {}
         self._ids = itertools.count(1)
-        self.decisions = 0
         #: bumped on every rule add/revoke; the monitor's decision cache
         #: treats any change as a new epoch, so revocation is immediate
         self.version = 0
@@ -271,7 +270,6 @@ class PolicyEngine:
         triples with wildcards materialized as their own keys.
         """
         charge("ac.policy.lookup")
-        self.decisions += 1
         cls = classify_ordinal(ordinal)
         if cls is CommandClass.UNKNOWN:
             return Decision(allowed=False, reason=f"unknown ordinal {ordinal:#x}")

@@ -179,9 +179,9 @@ def run_chaos_workload(
     first records under), and the non-interference suite asserts they
     change no digest and no audit chain byte.
 
-    ``conformance=True`` piggybacks the charge-free reference-model
-    oracle (:mod:`repro.verify.oracle`) on every authorization decision
-    and raises if the pipeline ever disagrees with it.
+    ``conformance=True`` piggybacks the conformance oracle
+    (:mod:`repro.verify.oracle`) on every authorization decision and
+    raises if the pipeline ever disagrees with it.
     """
     fresh_timing_context()
     with contextlib.ExitStack() as stack:

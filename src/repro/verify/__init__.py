@@ -10,8 +10,9 @@ Three cooperating pieces (see ARCHITECTURE.md, "Verification"):
 * :mod:`repro.verify.shrink` — a ddmin counterexample minimizer that
   turns a failing schedule into a minimal replayable JSON repro.
 
-Plus :mod:`repro.verify.oracle`, a charge-free conformance oracle that
-piggybacks on chaos/cluster harness runs behind a flag.
+Plus :mod:`repro.verify.oracle`, a conformance oracle that shadow-decides
+every authorization in chaos/cluster harness runs behind a flag, with
+the monitor's own :func:`~repro.core.monitor.decide` minus its cache.
 """
 
 from repro.verify.explorer import (

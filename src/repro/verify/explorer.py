@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import AccessControlConfig, AccessMode
+from repro.core.monitor import AccessControlMonitor
 from repro.core.policy import CommandClass
 from repro.crypto.random_source import RandomSource
 from repro.harness.builder import (
@@ -139,6 +140,7 @@ class FailingRun:
     seed: int
     guests: int
     supervised: bool
+    inject_bug: Optional[str] = None
 
 
 @dataclass
@@ -192,6 +194,29 @@ def _get_random_wire() -> bytes:
     return marshal.build_command(TPM_ORD_GetRandom, struct.pack(">I", 16))
 
 
+# -- planted bugs ------------------------------------------------------------------
+
+
+def plant_bug(monitor: AccessControlMonitor, bug: Optional[str]) -> None:
+    """Arm a known authorization bug on one monitor; ``None`` is a no-op.
+
+    Self-check only: the explorer must be able to fail.  ``cache-epoch``
+    freezes the policy component of the decision-cache epoch, so an allow
+    cached before a revocation survives it.
+    """
+    if bug is None:
+        return
+    if bug != "cache-epoch":
+        raise ReproError(f"unknown injectable bug {bug!r}")
+    honest = monitor._current_epoch
+
+    def stale_epoch():
+        local, _, identities = honest()
+        return (local, monitor._cache_epoch[1], identities)
+
+    monitor._current_epoch = stale_epoch  # type: ignore[method-assign]
+
+
 # -- the runner --------------------------------------------------------------------
 
 
@@ -204,11 +229,12 @@ class ScheduleRunner:
     :class:`~repro.xen.scheduler.CreditScheduler` accounting each
     guest's consumed virtual time — so explored runs carry the same
     serialization structure as the throughput experiments.
+    ``inject_bug`` arms :func:`plant_bug` on the platform's monitor.
     """
 
     def __init__(
         self, guests: int = 3, seed: int = 2010, supervised: bool = False,
-        platform: Optional[Platform] = None,
+        platform: Optional[Platform] = None, inject_bug: Optional[str] = None,
     ) -> None:
         self.seed = seed
         self.supervised = supervised
@@ -226,6 +252,7 @@ class ScheduleRunner:
                 name=f"verify-{seed}",
             )
         self.platform = platform
+        plant_bug(platform.monitor, inject_bug)
         self.handles: List[GuestHandle] = [
             platform.guests[name] if name in platform.guests
             else platform.add_guest(name)
@@ -624,8 +651,12 @@ def explore(
     supervised: bool = False,
     max_failures: int = 1,
     progress: Optional[Callable[[str], None]] = None,
+    inject_bug: Optional[str] = None,
 ) -> ExplorationReport:
-    """Run one exploration sweep; stops at ``max_failures`` violations."""
+    """Run one exploration sweep; stops at ``max_failures`` violations.
+
+    ``inject_bug`` plants a known bug on every platform built (the
+    self-check: the sweep must then fail)."""
     spec = BUDGETS[budget] if isinstance(budget, str) else budget
     report = ExplorationReport(
         budget=spec.name, seed=seed, guests=spec.guests
@@ -640,6 +671,7 @@ def explore(
             guests=spec.guests,
             seed=seed + report.platforms_built,
             supervised=supervised,
+            inject_bug=inject_bug,
         )
 
     def run_one(schedule: Tuple[Step, ...]) -> bool:
@@ -661,6 +693,7 @@ def explore(
                 seed=seed,
                 guests=spec.guests,
                 supervised=supervised,
+                inject_bug=inject_bug,
             ))
             # A poisoned platform would re-report the same failure for
             # every later schedule in the batch; start clean instead.

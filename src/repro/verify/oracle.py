@@ -1,30 +1,29 @@
 """Piggyback conformance oracle for existing harness runs.
 
 Wraps an :class:`~repro.core.monitor.AccessControlMonitor`'s
-``authorize`` and, for every command the pipeline processes,
-independently re-derives what the decision *should* be — straight from
-the identity registry, the policy index and the health gate, with no
-decision cache, no charges and no rng — then compares it against the
-pipeline's verdict.  Any disagreement is a conformance mismatch.
+``authorize`` and, for every command the pipeline processes, works out
+what the decision *should* be — parse, the monitor's health veto, then
+the shared :func:`~repro.core.monitor.decide` with no decision cache —
+and compares it against the pipeline's verdict.  Any disagreement is a
+conformance mismatch: a bug in the monitor's glue around ``decide``
+(cache keying, epoch invalidation, gating order).  The decision logic
+itself is checked against the independent reference model by the
+schedule explorer and the property tests.
 
-This is deliberately charge-free (it never calls ``charge()``-bearing
-code paths) so attaching it perturbs neither virtual time nor digests
-nor audit chains: the chaos and cluster demos can run with the oracle on
-(``--conformance``) and still satisfy their own determinism and
-non-interference rails.
-
-The re-derivation reads ``IdentityRegistry._by_domid`` and
-``PolicyEngine._index`` directly: an oracle's job is to double-check the
-production path from outside it, and the public entry points charge
-virtual time the observed run must not feel twice.
+``decide`` charges virtual time, so the oracle runs it under a scratch
+:class:`~repro.sim.timing.TimingContext` it owns: attaching the oracle
+perturbs neither virtual time nor digests nor audit chains, and the
+chaos and cluster demos can run with it on (``--conformance``) and
+still satisfy their own determinism and non-interference rails.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.monitor import AccessControlMonitor
-from repro.core.policy import ANY, CommandClass, classify_ordinal
+from repro.core.monitor import AccessControlMonitor, decide
+from repro.core.policy import classify_ordinal
+from repro.sim.timing import TimingContext, context_scope
 from repro.tpm.marshal import parse_command
 from repro.util.errors import MarshalError
 
@@ -49,59 +48,30 @@ class MonitorConformanceOracle:
         self.mismatches: List[str] = []
         self._installed = False
         self._inner = None
+        #: absorbs the virtual time the shadow ``decide`` charges
+        self._scratch = TimingContext()
 
-    # -- the independent decision ------------------------------------------------
+    # -- the shadow decision -----------------------------------------------------
 
     def expected_allow(
         self, caller, instance_id: int, bound_identity_hex: Optional[str],
         wire: bytes,
-    ) -> Optional[bool]:
-        """Re-derive the decision; ``None`` when the oracle abstains."""
+    ) -> bool:
+        """What the monitor should answer, ignoring its decision cache."""
         monitor = self.monitor
-        config = monitor.config
         try:
             parsed = parse_command(wire)  # memoized, charge-free
         except MarshalError:
             return False  # malformed frames must be denied
-        command_class = classify_ordinal(parsed.ordinal)
-
-        gate = monitor.health_gate
-        if gate is not None:
-            index = monitor.health_index
-            if index is None or instance_id in index:
-                if gate(instance_id, command_class) is not None:
-                    return False
-
-        subject = f"dom{caller.domid}"
-        identity = monitor.identities._by_domid.get(caller.domid)
-        if config.identity_check:
-            if identity is None:
-                return False
-            if caller.measurement != identity.measurement:
-                return False
-            subject = identity.hex
-            if (
-                bound_identity_hex is not None
-                and subject != bound_identity_hex
-            ):
-                return False
-        elif identity is not None:
-            subject = identity.hex
-
-        if not config.policy_check:
-            return True
-        if command_class is CommandClass.UNKNOWN:
+        veto = monitor.health_veto(instance_id, classify_ordinal(parsed.ordinal))
+        if veto is not None:
             return False
-        policy_index = monitor.policy._index
-        for key in (
-            (subject, instance_id, command_class),
-            (subject, ANY, command_class),
-            (ANY, instance_id, command_class),
-            (ANY, ANY, command_class),
-        ):
-            if key in policy_index:
-                return True
-        return False
+        with context_scope(self._scratch):
+            _, decision = decide(
+                monitor.identities, monitor.policy, monitor.config, caller,
+                instance_id, bound_identity_hex, parsed.ordinal,
+            )
+        return decision.allowed
 
     # -- installation ------------------------------------------------------------
 
@@ -118,7 +88,7 @@ class MonitorConformanceOracle:
             )
             result = inner(caller, instance_id, bound_identity_hex, wire)
             oracle.checks += 1
-            if expected is not None and result.allowed != expected:
+            if result.allowed != expected:
                 oracle.mismatch_count += 1
                 if len(oracle.mismatches) < _MISMATCH_SAMPLE_CAP:
                     oracle.mismatches.append(

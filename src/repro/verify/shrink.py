@@ -19,7 +19,7 @@ The result is a JSON artifact (``repro-verify/1``) that
      "violation": {"kind": "oracle-mismatch", ...}}
 
 Replay is exact: the same steps, a fresh platform built from the same
-seed, the same test-only bug hook state — so a repro attached to a CI
+seed, the same planted bug (if any) — so a repro attached to a CI
 failure is a one-command reproduction, not a log to squint at.
 """
 
@@ -97,34 +97,24 @@ def load_repro(path: str) -> Repro:
 
 
 def replay(
-    steps: Sequence[Step], seed: int, guests: int, supervised: bool = False
+    steps: Sequence[Step], seed: int, guests: int, supervised: bool = False,
+    inject_bug: Optional[str] = None,
 ) -> Optional[Violation]:
-    """Run ``steps`` as one schedule on a fresh platform; first violation
-    or ``None``.  The caller owns any bug-hook state (see the CLI)."""
-    runner = ScheduleRunner(guests=guests, seed=seed, supervised=supervised)
+    """Run ``steps`` as one schedule on a fresh platform (with
+    ``inject_bug`` planted, if given); first violation or ``None``."""
+    runner = ScheduleRunner(
+        guests=guests, seed=seed, supervised=supervised, inject_bug=inject_bug
+    )
     violations = runner.run(list(steps))
     return violations[0] if violations else None
 
 
 def replay_repro(repro: Repro) -> Optional[Violation]:
-    """Replay an artifact, restoring its recorded bug-hook state."""
-    from repro.core import monitor as monitor_mod
-
-    previous = monitor_mod.INJECT_STALE_POLICY_EPOCH
-    monitor_mod.INJECT_STALE_POLICY_EPOCH = repro.inject_bug == "cache-epoch"
-    try:
-        return replay(
-            repro.steps, seed=repro.seed, guests=repro.guests,
-            supervised=repro.supervised,
-        )
-    finally:
-        monitor_mod.INJECT_STALE_POLICY_EPOCH = previous
-
-
-def _still_fails(
-    steps: Sequence[Step], seed: int, guests: int, supervised: bool
-) -> Optional[Violation]:
-    return replay(steps, seed=seed, guests=guests, supervised=supervised)
+    """Replay an artifact, with its recorded bug planted again."""
+    return replay(
+        repro.steps, seed=repro.seed, guests=repro.guests,
+        supervised=repro.supervised, inject_bug=repro.inject_bug,
+    )
 
 
 def ddmin(
@@ -171,16 +161,15 @@ def shrink_failure(failure: FailingRun) -> Repro:
     Replay seeds differ from exploration seeds on purpose: a genuine
     conformance bug must not hide behind one lucky platform seed.
     """
-    from repro.core import monitor as monitor_mod
-
     seed = failure.seed
     guests = failure.guests
     supervised = failure.supervised
-    inject = "cache-epoch" if monitor_mod.INJECT_STALE_POLICY_EPOCH else None
+    inject = failure.inject_bug
 
     def fails(candidate: Sequence[Step]) -> Optional[Violation]:
-        return _still_fails(
-            candidate, seed=seed, guests=guests, supervised=supervised
+        return replay(
+            candidate, seed=seed, guests=guests, supervised=supervised,
+            inject_bug=inject,
         )
 
     basis: Sequence[Step]

@@ -60,20 +60,13 @@ class TestRevocationVsCachedAllow:
         to go stale) still conforms.  This is the asymmetry that makes
         the race worth exploring.
         """
-        from repro.core import monitor as monitor_mod
+        runner = ScheduleRunner(guests=2, seed=302, inject_bug="cache-epoch")
+        violations = runner.run(self.WARM_FIRST)
+        assert violations, "stale cached allow must violate the oracle"
+        assert violations[0].kind in ("oracle-mismatch", "denial-count")
 
-        previous = monitor_mod.INJECT_STALE_POLICY_EPOCH
-        monitor_mod.INJECT_STALE_POLICY_EPOCH = True
-        try:
-            runner = ScheduleRunner(guests=2, seed=302)
-            violations = runner.run(self.WARM_FIRST)
-            assert violations, "stale cached allow must violate the oracle"
-            assert violations[0].kind in ("oracle-mismatch", "denial-count")
-
-            clean = ScheduleRunner(guests=2, seed=303)
-            assert clean.run(self.REVOKE_FIRST) == []
-        finally:
-            monitor_mod.INJECT_STALE_POLICY_EPOCH = previous
+        clean = ScheduleRunner(guests=2, seed=303, inject_bug="cache-epoch")
+        assert clean.run(self.REVOKE_FIRST) == []
 
 
 class TestMigrationOfferVsRestart:

@@ -18,7 +18,11 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.core.monitor import decide
+from repro.core.policy import classify_ordinal
+from repro.sim.timing import TimingContext, context_scope
 from repro.tpm.client import TpmClient
+from repro.tpm.constants import TPM_ORD_Extend, TPM_ORD_GetRandom, TPM_ORD_PcrRead
 from repro.verify.explorer import PCR_RANGE, ScheduleRunner, Step
 from repro.vtpm.backend import VtpmBackend
 from repro.vtpm.frontend import VtpmFrontend
@@ -27,6 +31,9 @@ GUESTS = 2
 
 _guest = st.integers(min_value=0, max_value=GUESTS - 1)
 _arg = st.integers(min_value=0, max_value=PCR_RANGE - 1)
+
+#: the ordinals the machine's command steps issue
+_ORDINALS = (TPM_ORD_Extend, TPM_ORD_PcrRead, TPM_ORD_GetRandom)
 
 
 class ConformanceMachine(RuleBasedStateMachine):
@@ -129,6 +136,37 @@ class ConformanceMachine(RuleBasedStateMachine):
         runner.model.on_migrated(name)
 
     # -- end-of-example checks --------------------------------------------------
+
+    @invariant()
+    def decide_agrees_with_reference_model(self):
+        """The monitor's uncached decision function and the independent
+        model agree for every healthy (caller, target, class) triple."""
+        runner = self.runner
+        platform = runner.platform
+        model = runner.model
+        with context_scope(TimingContext()):  # keep the run's clock untouched
+            for caller_index, caller in enumerate(runner.handles):
+                for target_index, target in enumerate(runner.handles):
+                    target_name = f"g{target_index}"
+                    if model.guests[target_name].turbulent:
+                        continue
+                    bound = platform.manager.instance(
+                        target.instance_id
+                    ).bound_identity_hex
+                    for ordinal in _ORDINALS:
+                        _, decision = decide(
+                            platform.identities, platform.policy,
+                            platform.monitor.config, caller.domain,
+                            target.instance_id, bound, ordinal,
+                        )
+                        predicted = model.predict(
+                            f"g{caller_index}", target_name,
+                            classify_ordinal(ordinal),
+                        )
+                        assert decision.allowed == (
+                            predicted.verdict == "allow"
+                        ), (caller_index, target_index, hex(ordinal),
+                            decision.reason, predicted.reason)
 
     @invariant()
     def shadow_pcrs_match_live(self):

@@ -1,5 +1,10 @@
 """Unit tests for the CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -68,6 +73,18 @@ class TestParser:
             ["cluster", "--single", "--conformance"]
         ).conformance
         assert not build_parser().parse_args(["chaos"]).conformance
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--commands", "300", "--conformance"],
+        ["chaos", "--supervised", "--conformance"],
+        ["cluster", "--conformance"],
+    ])
+    def test_conformance_without_single_is_rejected(self, argv, capsys):
+        # The full demos attach no oracle: fail closed, never run them.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--conformance requires --single" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -163,7 +180,6 @@ class TestCommands:
         assert "oracle violations           : 0" in out
 
     def test_verify_inject_bug_catches_and_shrinks(self, capsys, tmp_path):
-        from repro.core import monitor as monitor_mod
         from repro.verify import load_repro
 
         artifact = tmp_path / "repro.json"
@@ -176,8 +192,6 @@ class TestCommands:
         repro = load_repro(str(artifact))
         assert 0 < len(repro.steps) <= 10
         assert repro.inject_bug == "cache-epoch"
-        # The hook is always restored, pass or fail.
-        assert monitor_mod.INJECT_STALE_POLICY_EPOCH is False
 
     def test_verify_replay_reproduces_then_exits_nonzero(
         self, capsys, tmp_path
@@ -207,3 +221,21 @@ class TestCommands:
         }))
         assert main(["verify", "--replay", str(artifact)]) == 0
         assert "replay clean" in capsys.readouterr().out
+
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+@pytest.mark.parametrize("script", [
+    "bench_wallclock_pipeline.py",
+    "bench_cluster_scaling.py",
+    "bench_verify_explorer.py",
+])
+def test_bench_script_help_exits_zero(script):
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "benchmarks" / script), "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout

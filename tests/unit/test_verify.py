@@ -305,19 +305,12 @@ class TestExplorer:
         assert report.distinct_schedules <= 3 * 6
 
     def test_runner_detects_injected_stale_cache(self):
-        from repro.core import monitor as monitor_mod
-
         budget = Budget(
             name="tiny", guests=3, ops_per_guest=5, rounds=20,
             shuffles_per_round=6, dpor_cap=8, target_schedules=200,
             platform_batch=40,
         )
-        previous = monitor_mod.INJECT_STALE_POLICY_EPOCH
-        monitor_mod.INJECT_STALE_POLICY_EPOCH = True
-        try:
-            report = explore(budget=budget, seed=2010)
-        finally:
-            monitor_mod.INJECT_STALE_POLICY_EPOCH = previous
+        report = explore(budget=budget, seed=2010, inject_bug="cache-epoch")
         assert not report.ok
         kinds = {f.violation.kind for f in report.failures}
         assert kinds <= {"oracle-mismatch", "denial-count"}
@@ -346,33 +339,72 @@ class TestConformanceOracle:
         assert "authorize" not in vars(platform.monitor)
 
     def test_oracle_flags_injected_bug(self):
-        from repro.core import monitor as monitor_mod
         from repro.core.config import AccessMode
         from repro.core.policy import CommandClass
         from repro.harness.builder import build_platform, fresh_timing_context
+        from repro.verify.explorer import plant_bug
         from repro.verify.oracle import attach_oracle, settle_oracles
 
         fresh_timing_context()
         platform = build_platform(AccessMode.IMPROVED, seed=9, name="oracle-b")
         guest = platform.add_guest("g")
         oracle = attach_oracle(platform)
-        previous = monitor_mod.INJECT_STALE_POLICY_EPOCH
-        monitor_mod.INJECT_STALE_POLICY_EPOCH = True
-        try:
-            guest.client.pcr_read(1)  # warm the decision cache
-            subject = guest.domain.measurement.hex()
-            doomed = [
-                rule.rule_id
-                for rule in platform.policy.rules_for_subject(subject)
-                if rule.command_class is CommandClass.READ
-            ]
-            for rule_id in doomed:
-                platform.policy.revoke_rule(rule_id)
-            guest.client.pcr_read(1)  # stale cache wrongly allows
-            with pytest.raises(ReproError, match="conformance"):
-                settle_oracles([oracle])
-        finally:
-            monitor_mod.INJECT_STALE_POLICY_EPOCH = previous
+        plant_bug(platform.monitor, "cache-epoch")
+        guest.client.pcr_read(1)  # warm the decision cache
+        subject = guest.domain.measurement.hex()
+        doomed = [
+            rule.rule_id
+            for rule in platform.policy.rules_for_subject(subject)
+            if rule.command_class is CommandClass.READ
+        ]
+        for rule_id in doomed:
+            platform.policy.revoke_rule(rule_id)
+        guest.client.pcr_read(1)  # stale cache wrongly allows
+        with pytest.raises(ReproError, match="conformance"):
+            settle_oracles([oracle])
+
+    @staticmethod
+    def _scripted_run(with_oracle):
+        """One seeded command script, optionally under the oracle: cache
+        hits, a cache miss after a revocation, a planned denial and a
+        cross-instance binding denial."""
+        from repro.core.config import AccessMode
+        from repro.core.policy import CommandClass
+        from repro.harness.builder import build_platform, fresh_timing_context
+        from repro.verify.explorer import _extend_wire, _pcr_read_wire
+        from repro.verify.oracle import attach_oracle, settle_oracles
+
+        def extend(index):
+            return _extend_wire(Step(0, "extend", index))
+
+        ctx = fresh_timing_context()
+        platform = build_platform(AccessMode.IMPROVED, seed=13, name="oracle-ni")
+        guest = platform.add_guest("g")
+        other = platform.add_guest("h")
+        oracle = attach_oracle(platform) if with_oracle else None
+        send = guest.frontend.transport
+        responses = [
+            send(_pcr_read_wire(1)), send(extend(2)), send(_pcr_read_wire(1))
+        ]
+        subject = guest.domain.measurement.hex()
+        for rule in platform.policy.rules_for_subject(subject):
+            if rule.command_class is CommandClass.MEASURE:
+                platform.policy.revoke_rule(rule.rule_id)
+        responses.append(send(_pcr_read_wire(3)))  # miss after revocation
+        responses.append(send(extend(4)))  # planned denial
+        responses.append(platform.manager.handle_command(
+            guest.domain.domid, other.instance_id, _pcr_read_wire(1)
+        ))  # cross-instance binding denial
+        checks = settle_oracles([oracle])
+        assert checks == (len(responses) if with_oracle else 0)
+        assert platform.monitor.denials == 2
+        return responses, ctx.clock.now_us, platform.audit.chain_head()
+
+    def test_oracle_does_not_perturb_the_run(self):
+        # The shadow decide() charges only the oracle's scratch clock:
+        # responses, virtual time and the timestamped audit chain match a
+        # run without the oracle exactly.
+        assert self._scripted_run(True) == self._scripted_run(False)
 
     def test_oracle_refuses_baseline_monitor(self):
         from repro.verify.oracle import MonitorConformanceOracle
