@@ -685,6 +685,26 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}"
+        )
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type for counts where 0 means none/off."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -703,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-injection demo: seeded chaos, zero state loss",
     )
     p_chaos.add_argument("--seed", type=int, default=2026)
-    p_chaos.add_argument("--commands", type=int, default=1000)
+    p_chaos.add_argument("--commands", type=positive_int, default=1000)
     p_chaos.add_argument("--supervised", action="store_true",
                          help="run the supervised resilience demo (health "
                               "state machine, breakers, admission control)")
@@ -715,7 +735,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--conformance", action="store_true",
                          help="piggyback the reference-model oracle on every "
                               "authz decision (requires --single)")
-    p_chaos.add_argument("--trace-sample", metavar="N", type=int, default=1,
+    p_chaos.add_argument("--trace-sample", metavar="N",
+                         type=positive_int, default=1,
                          help="record 1-in-N root span trees (deterministic "
                               "head sampling; counters stay exact)")
     p_chaos.set_defaults(fn=cmd_chaos)
@@ -725,9 +746,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-host fleet demo: storm + host crash, zero state loss",
     )
     p_cluster.add_argument("--seed", type=int, default=2027)
-    p_cluster.add_argument("--hosts", type=int, default=4)
-    p_cluster.add_argument("--guests", type=int, default=32)
-    p_cluster.add_argument("--steps", type=int, default=96)
+    p_cluster.add_argument("--hosts", type=positive_int, default=4)
+    p_cluster.add_argument("--guests", type=positive_int, default=32)
+    p_cluster.add_argument("--steps", type=positive_int, default=96)
     p_cluster.add_argument("--single", action="store_true",
                            help="one chaotic run only (skip control + replay)")
     p_cluster.add_argument("--trace", metavar="PATH", default=None,
@@ -737,7 +758,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="piggyback the reference-model oracle on "
                                 "every host's authz decisions (requires "
                                 "--single)")
-    p_cluster.add_argument("--trace-sample", metavar="N", type=int, default=1,
+    p_cluster.add_argument("--trace-sample", metavar="N",
+                           type=positive_int, default=1,
                            help="record 1-in-N root span trees (deterministic "
                                 "head sampling; counters stay exact)")
     p_cluster.set_defaults(fn=cmd_cluster)
@@ -756,7 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="smaller sizes for a fast run")
     p_exp.add_argument("--trace", metavar="PATH", default=None,
                        help="write span trees as JSONL (- for stdout)")
-    p_exp.add_argument("--trace-sample", metavar="N", type=int, default=1,
+    p_exp.add_argument("--trace-sample", metavar="N",
+                       type=positive_int, default=1,
                        help="record 1-in-N root span trees (deterministic "
                             "head sampling)")
     p_exp.set_defaults(fn=cmd_experiment)
@@ -773,9 +796,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--mode", choices=["baseline", "improved"],
                          default="improved",
                          help="regime for a live workload run")
-    p_trace.add_argument("--count", type=int, default=2,
+    p_trace.add_argument("--count", type=positive_int, default=2,
                          help="repetitions of the live workload (default 2)")
-    p_trace.add_argument("--guests", type=int, default=4)
+    p_trace.add_argument("--guests", type=positive_int, default=4)
     p_trace.add_argument("--rate", type=float, default=100.0,
                          help="commands per guest per second")
     p_trace.add_argument("--duration", type=float, default=1.0,
@@ -790,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_xm.add_argument("op", choices=["list", "info", "vcpu-list", "dump-core"])
     p_xm.add_argument("--mode", choices=["baseline", "improved"],
                       default="improved")
-    p_xm.add_argument("--guests", type=int, default=2)
+    p_xm.add_argument("--guests", type=non_negative_int, default=2)
     p_xm.add_argument("--domid", type=int, default=0)
     p_xm.add_argument("--seed", type=int, default=2010)
     p_xm.set_defaults(fn=cmd_xm)
@@ -807,13 +830,14 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="wall-clock profile of the simulator's command pipeline",
     )
-    p_profile.add_argument("--commands", type=int, default=10_000)
-    p_profile.add_argument("--batch", type=int, default=1,
+    p_profile.add_argument("--commands", type=positive_int, default=10_000)
+    p_profile.add_argument("--batch", type=positive_int, default=1,
                            help="frames per ring submission (1 = classic)")
     p_profile.add_argument("--mode", choices=["baseline", "improved"],
                            default="improved")
     p_profile.add_argument("--seed", type=int, default=2010)
-    p_profile.add_argument("--top", metavar="N", type=int, default=0,
+    p_profile.add_argument("--top", metavar="N",
+                           type=non_negative_int, default=0,
                            help="also print the N hottest span sites by "
                                 "wall-clock self time (pooled span sink)")
     p_profile.add_argument("--supervised", action="store_true",
@@ -826,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a short supervised scenario and print per-guest health",
     )
     p_health.add_argument("--seed", type=int, default=2026)
-    p_health.add_argument("--commands", type=int, default=200)
+    p_health.add_argument("--commands", type=positive_int, default=200)
     p_health.add_argument("--no-faults", dest="faults", action="store_false",
                           help="fault-free control run (everything healthy)")
     p_health.set_defaults(fn=cmd_health)
@@ -841,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exploration depth: small is the seeded CI "
                                "sweep (<60s), deep is the nightly sweep")
     p_verify.add_argument("--seed", type=int, default=2010)
-    p_verify.add_argument("--target", type=int, default=None,
+    p_verify.add_argument("--target", type=positive_int, default=None,
                           help="override the budget's distinct-schedule "
                                "target (smoke tests)")
     p_verify.add_argument("--output", metavar="PATH",

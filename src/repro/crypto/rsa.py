@@ -1,10 +1,16 @@
 """Pure-Python RSA with PKCS#1 v1.5 signing and encryption.
 
 The TPM 1.2 key hierarchy (EK, SRK, AIKs, storage and signing keys) is RSA.
-This module provides key generation (Miller-Rabin primes), CRT-accelerated
-private operations, EMSA-PKCS1-v1_5 signatures over SHA-1 digests (what a
-TPM 1.2 emits for quotes and TPM_Sign) and EME-PKCS1-v1_5 encryption (what
-seals/binds use).
+This module provides key generation, CRT-accelerated private operations,
+EMSA-PKCS1-v1_5 signatures over SHA-1 digests (what a TPM 1.2 emits for
+quotes and TPM_Sign) and EME-PKCS1-v1_5 encryption (what seals/binds use).
+
+Key generation draws each prime candidate with its top two bits set, so p
+and q lie in the FIPS 186-4 B.3 interval (p ≥ √2·2^(k−1)) and every pair
+yields a modulus of exactly the requested length — no prime that has paid
+for its Miller-Rabin rounds is ever discarded for a short modulus.  Each
+candidate is trial-divided by every prime below 2048 with one ``math.gcd``
+against their product, then must pass 24 random-base Miller-Rabin rounds.
 
 Virtual-time cost is charged by the key's *declared* size class, so
 experiments can simulate 2048-bit timing even when tests run small keys for
@@ -13,6 +19,7 @@ host speed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.crypto.random_source import RandomSource
@@ -22,26 +29,25 @@ from repro.util.errors import CryptoError
 # ASN.1 DigestInfo prefix for SHA-1 (RFC 3447 section 9.2 notes).
 _SHA1_DIGEST_INFO = bytes.fromhex("3021300906052b0e03021a05000414")
 
-# Small primes for fast trial division before Miller-Rabin.
-_SMALL_PRIMES = [
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
-    149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223,
-    227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293,
-]
+# Trial division before Miller-Rabin: one gcd against the product of every
+# prime below the bound rejects ~85% of random odd candidates for the cost
+# of a single big-integer operation.
+_TRIAL_BOUND = 2048
+_TRIAL_PRIMES = frozenset(
+    n for n in range(2, _TRIAL_BOUND)
+    if all(n % f for f in range(2, math.isqrt(n) + 1))
+)
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 PUBLIC_EXPONENT = 65537
 
 
 def _is_probable_prime(n: int, rng: RandomSource, rounds: int = 24) -> bool:
-    """Miller-Rabin primality test with random bases."""
-    if n < 2:
+    """Trial division, then Miller-Rabin with ``rounds`` random bases."""
+    if n < _TRIAL_BOUND:
+        return n in _TRIAL_PRIMES
+    if math.gcd(n, _TRIAL_PRODUCT) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -61,9 +67,13 @@ def _is_probable_prime(n: int, rng: RandomSource, rounds: int = 24) -> bool:
 
 
 def _generate_prime(bits: int, rng: RandomSource) -> int:
-    """Random prime of exactly ``bits`` bits, coprime to the public exponent."""
+    """Random prime of exactly ``bits`` bits, top two bits set, coprime to e.
+
+    With both top bits set p ≥ 1.5·2^(bits−1), so the product of two such
+    primes always has exactly the sum of their bit lengths.
+    """
     while True:
-        candidate = rng.randint_bits(bits) | 1
+        candidate = rng.randint_bits(bits) | (3 << (bits - 2)) | 1
         if candidate % PUBLIC_EXPONENT == 1:
             continue  # would make e non-invertible mod p-1
         if _is_probable_prime(candidate, rng):

@@ -50,6 +50,12 @@ class EncryptedBlob:
         return EncryptedBlob(nonce=nonce, ciphertext=ciphertext, tag=tag)
 
 
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """``data`` XOR an equal-length keystream, as one big-integer XOR."""
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    return mixed.to_bytes(len(data), "big")
+
+
 class SymmetricKey:
     """A 256-bit key offering authenticated encrypt/decrypt."""
 
@@ -81,7 +87,7 @@ class SymmetricKey:
         charge("cipher.sym", len(plaintext))
         nonce = rng.bytes(NONCE_SIZE)
         stream = self._keystream(nonce, len(plaintext))
-        ciphertext = bytes(a ^ b for a, b in zip(plaintext, stream))
+        ciphertext = _xor(plaintext, stream)
         charge("mac.hmac", len(ciphertext))
         tag = _hmac.new(self._mac_key, nonce + ciphertext, "sha256").digest()
         return EncryptedBlob(nonce=nonce, ciphertext=ciphertext, tag=tag)
@@ -96,4 +102,4 @@ class SymmetricKey:
             raise CryptoError("authentication tag mismatch (tampered or wrong key)")
         charge("cipher.sym", len(blob.ciphertext))
         stream = self._keystream(blob.nonce, len(blob.ciphertext))
-        return bytes(a ^ b for a, b in zip(blob.ciphertext, stream))
+        return _xor(blob.ciphertext, stream)

@@ -66,11 +66,16 @@ def _session_for(platform: Platform, name: str) -> GuestSession:
 
 
 def run_command_latency(reps: int = 50, seed: int = 7) -> CommandLatencyResult:
-    """E1: drive every operation ``reps`` times in each regime."""
+    """E1: drive every operation ``reps`` times in each regime.
+
+    Both regimes share one platform name, hence one RNG stream: key
+    generation then runs the same prime searches on both sides, so the
+    per-op difference is the access-control cost alone.
+    """
     results: Dict[str, Dict[str, Summary]] = {}
     for mode in (AccessMode.BASELINE, AccessMode.IMPROVED):
         fresh_timing_context()
-        platform = build_platform(mode, seed=seed)
+        platform = build_platform(mode, seed=seed, name="latency-platform")
         session = _session_for(platform, "bench-guest")
         recorder = LatencyRecorder()
         for op in OPERATIONS:
@@ -250,11 +255,14 @@ def run_instance_creation(
     populations: Sequence[int] = (0, 1, 2, 4, 8, 16, 32),
     seed: int = 23,
 ) -> CreationLatencyResult:
-    """E4: create instances up to each population, timing the last one."""
+    """E4: create instances up to each population, timing the last one.
+
+    As in E1, both regimes share one RNG stream (one platform name).
+    """
     points: List[tuple] = []
     for mode in (AccessMode.BASELINE, AccessMode.IMPROVED):
         fresh_timing_context()
-        platform = build_platform(mode, seed=seed)
+        platform = build_platform(mode, seed=seed, name="creation-platform")
         clock = get_context().clock
         created = 0
         for target in sorted(populations):

@@ -86,6 +86,31 @@ class TestParser:
         assert exc.value.code == 2
         assert "--conformance requires --single" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--commands", "-5"],
+        ["chaos", "--trace-sample", "-2"],
+        ["cluster", "--guests", "-1"],
+        ["cluster", "--steps", "-4"],
+        ["cluster", "--hosts", "0"],
+        ["health", "--commands", "0"],
+        ["trace", "--count", "-1"],
+        ["trace", "--guests", "0"],
+        ["xm", "list", "--guests", "-1"],
+        ["profile", "--top", "-3"],
+        ["profile", "--commands", "0"],
+    ])
+    def test_out_of_range_counts_are_usage_errors(self, argv, capsys):
+        # Counts fail closed at parse time: usage error, nothing runs.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "integer" in err
+
+    def test_zero_top_still_means_off(self):
+        assert build_parser().parse_args(["profile", "--top", "0"]).top == 0
+
 
 class TestCommands:
     def test_demo_runs(self, capsys):

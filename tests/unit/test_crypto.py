@@ -6,6 +6,7 @@ from repro.crypto.hashes import sha1, sha256
 from repro.crypto.hmac_util import constant_time_equal, hmac_sha1, hmac_sha256
 from repro.crypto.kdf import derive_key
 from repro.crypto.random_source import RandomSource
+from repro.crypto import rsa
 from repro.crypto.rsa import RsaKeyPair, generate_keypair
 from repro.crypto.symmetric import EncryptedBlob, SymmetricKey
 from repro.util.errors import CryptoError
@@ -182,6 +183,47 @@ class TestRsa:
     def test_fingerprint_stable(self, keypair):
         assert keypair.public.fingerprint() == keypair.public.fingerprint()
         assert len(keypair.public.fingerprint()) == 32
+
+    @pytest.mark.parametrize("seed", [b"a", b"b", b"c", b"d", b"e"])
+    def test_keygen_uses_exactly_two_top_two_bit_primes(self, seed, monkeypatch):
+        calls = []
+        real = rsa._generate_prime
+
+        def counting(bits, rng):
+            calls.append(bits)
+            return real(bits, rng)
+
+        monkeypatch.setattr(rsa, "_generate_prime", counting)
+        key = generate_keypair(512, RandomSource(seed))
+        assert calls == [256, 256]  # no prime pair is ever discarded
+        for prime in (key.p, key.q):
+            assert prime >> 254 == 0b11
+        assert key.public.n.bit_length() == 512
+
+    @staticmethod
+    def _naive_is_prime(n):
+        return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+    def test_probable_prime_matches_naive_below_3000(self):
+        rng = RandomSource(b"mr")
+        for n in range(-2, 3000):
+            assert rsa._is_probable_prime(n, rng) == self._naive_is_prime(n), n
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (561, False),  # Carmichael numbers fool the Fermat test
+            (1105, False),
+            (1729, False),
+            (41041, False),
+            (2039 * 2029, False),  # both factors below the trial bound
+            (2039 * (2**256 - 189), False),  # sieve prime × 256-bit prime
+            (2**127 - 1, True),  # Mersenne prime
+            (2**256 - 189, True),
+        ],
+    )
+    def test_probable_prime_known_values(self, n, expected):
+        assert rsa._is_probable_prime(n, RandomSource(b"mr")) is expected
 
 
 class TestSymmetric:
