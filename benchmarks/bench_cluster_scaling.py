@@ -49,12 +49,12 @@ def _measure_shape(hosts: int, guests: int, steps: int) -> dict:
     """One fleet shape: route ``guests * steps`` commands (untraced, then
     traced at the default sampling rate), then storm."""
     from repro.cluster import build_fleet
-    from repro.cluster.demo import _extend_wire, _storm_moves
+    from repro.cluster.demo import _storm_moves
     from repro.crypto.random_source import RandomSource
     from repro.harness.builder import fresh_timing_context
-    from repro.obs import CountingSink, Tracer
-    from repro.obs import trace as obs_trace
+    from repro.obs import CountingSink, Tracer, observe
     from repro.sim.timing import get_context
+    from repro.tpm.client import extend_wire
 
     from bench_wallclock_pipeline import TRACE_SAMPLE_RATE
 
@@ -74,7 +74,7 @@ def _measure_shape(hosts: int, guests: int, steps: int) -> dict:
     for _step in range(steps):
         for name in names:
             rng = streams[name]
-            wire = _extend_wire(rng.randint_below(16), rng.bytes(20))
+            wire = extend_wire(rng.randint_below(16), rng.bytes(20))
             before_us = clock.now_us
             fleet.router.send(name, wire)
             latencies.append(clock.now_us - before_us)
@@ -85,11 +85,11 @@ def _measure_shape(hosts: int, guests: int, steps: int) -> dict:
     # the committed numbers record what --trace costs per fleet shape.
     tracer = Tracer(CountingSink(), sample_rate=TRACE_SAMPLE_RATE)
     wall_start = time.perf_counter()
-    with obs_trace.tracer_scope(tracer):
+    with observe(tracer=tracer):
         for _step in range(steps):
             for name in names:
                 rng = streams[name]
-                wire = _extend_wire(rng.randint_below(16), rng.bytes(20))
+                wire = extend_wire(rng.randint_below(16), rng.bytes(20))
                 fleet.router.send(name, wire)
     wall_traced = time.perf_counter() - wall_start
 

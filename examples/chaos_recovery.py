@@ -33,7 +33,7 @@ def main() -> None:
     print("running control + chaos + replay (3 x 1000 commands)...\n")
 
     result = run_chaos_demo(seed=seed, plan=plan)
-    clean, chaotic, replay = result["clean"], result["chaotic"], result["replay"]
+    clean, chaotic, replay = result["control"], result["chaotic"], result["replay"]
 
     print("== chaotic run ==")
     for line in chaotic.summary_lines():

@@ -37,6 +37,7 @@ finished span tree to ``PATH`` as JSONL (``-`` for stdout).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Callable, Dict, Sequence
 
@@ -144,146 +145,118 @@ def _open_trace(path: str, sample_rate: int = 1):
     return Tracer(sink, sample_rate=sample_rate), CounterRegistry(), closer
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Fault-injection demo: a seeded workload survives injected chaos."""
-    from repro.harness.chaos import (
-        default_chaos_plan,
-        run_chaos_demo,
-        run_chaos_workload,
-    )
+def _run_demo_command(args, workload, demo, title, verdict) -> int:
+    """``--single`` runs one observed chaotic workload; otherwise the
+    acceptance demo runs and ``verdict(result)`` lines are printed.
 
-    if args.supervised:
-        return _cmd_chaos_supervised(args)
-    plan = default_chaos_plan(args.seed)
+    ``--trace``/``--trace-sample`` observe the chaotic run either way.
+    """
     tracer, registry, closer = _open_trace(args.trace, args.trace_sample)
     with closer:
         if args.single:
-            report = run_chaos_workload(
-                seed=args.seed, commands=args.commands, plan=plan,
-                tracer=tracer, counters=registry,
-                conformance=args.conformance,
-            )
-            for line in report.summary_lines():
-                print(line)
+            report = workload(tracer=tracer, counters=registry,
+                              conformance=args.conformance)
+            lines = report.summary_lines()
             if args.conformance:
-                print(f"conformance: {report.conformance_checks} decisions "
-                      "oracle-checked, 0 mismatches")
-            _print_trace_summary(args.trace, tracer, registry)
-            return 0
-        result = run_chaos_demo(
-            seed=args.seed, commands=args.commands, plan=plan,
-            tracer=tracer, counters=registry,
-        )
-    chaotic = result["chaotic"]
-    print("== chaotic run ==")
-    for line in chaotic.summary_lines():
+                lines.append(f"conformance: {report.conformance_checks} "
+                             "decisions oracle-checked, 0 mismatches")
+        else:
+            result = demo(tracer=tracer, counters=registry)
+            lines = [f"== {title} ==", *result["chaotic"].summary_lines(),
+                     "", "== verdict ==", *verdict(result)]
+    for line in lines:
         print(line)
-    print()
-    print("== verdict ==")
-    print(f"fault kinds exercised : {len(chaotic.fault_counts)}")
-    print(f"state preserved       : {result['state_preserved']} "
-          "(PCR/NV digests match the fault-free run)")
-    print(f"deterministic         : {result['deterministic']} "
-          "(same seed → identical fault sequence)")
     _print_trace_summary(args.trace, tracer, registry)
     return 0
+
+
+def cmd_chaos(args: argparse.Namespace) -> int:
+    """Fault-injection demo: a seeded workload survives injected chaos."""
+    from repro.harness import chaos
+
+    if args.supervised:
+        return _cmd_chaos_supervised(args)
+    shape = dict(seed=args.seed,
+                 commands=args.commands or chaos.DEFAULT_COMMANDS,
+                 plan=chaos.default_chaos_plan(args.seed))
+
+    def verdict(result):
+        return [
+            f"fault kinds exercised : {len(result['chaotic'].fault_counts)}",
+            f"state preserved       : {result['state_preserved']} "
+            "(PCR/NV digests match the fault-free run)",
+            f"deterministic         : {result['deterministic']} "
+            "(same seed → identical fault sequence)",
+        ]
+
+    return _run_demo_command(
+        args, functools.partial(chaos.run_chaos_workload, **shape),
+        functools.partial(chaos.run_chaos_demo, **shape),
+        "chaotic run", verdict,
+    )
 
 
 def _cmd_chaos_supervised(args: argparse.Namespace) -> int:
     """Supervised chaos: wedge storm, probe flap, overload — survived."""
-    from repro.harness.chaos import (
-        SUPERVISED_COMMANDS,
-        run_supervised_chaos,
-        run_supervised_chaos_demo,
-        supervised_chaos_plan,
-    )
+    from repro.harness import chaos
 
-    commands = args.commands if args.commands != 1000 else SUPERVISED_COMMANDS
-    plan = supervised_chaos_plan(args.seed)
-    tracer, registry, closer = _open_trace(args.trace, args.trace_sample)
-    with closer:
-        if args.single:
-            report = run_supervised_chaos(
-                seed=args.seed, commands=commands, plan=plan,
-                tracer=tracer, counters=registry,
-                conformance=args.conformance,
-            )
-            for line in report.summary_lines():
-                print(line)
-            if args.conformance:
-                print(f"conformance: {report.conformance_checks} decisions "
-                      "oracle-checked, 0 mismatches")
-            _print_trace_summary(args.trace, tracer, registry)
-            return 0
-        result = run_supervised_chaos_demo(
-            seed=args.seed, commands=commands, plan=plan,
-        )
-    chaotic = result["chaotic"]
-    print("== supervised chaotic run ==")
-    for line in chaotic.summary_lines():
-        print(line)
-    print()
-    print("== verdict ==")
-    print(f"zero silent drops     : {result['zero_dropped']} "
-          f"({chaotic.answered}/{chaotic.submitted} frames answered)")
-    print(f"supervision settled   : {chaotic.settled} "
-          "(every guest healthy-with-closed-breaker or explicitly failed)")
-    print(f"state preserved       : {chaotic.digests == result['clean'].digests} "
-          "(all guests' digests match the fault-free run)")
-    print(f"deterministic         : {result['deterministic']} "
-          "(same seed → identical fault + breaker sequences)")
-    return 0
+    shape = dict(seed=args.seed,
+                 commands=args.commands or chaos.SUPERVISED_COMMANDS,
+                 plan=chaos.supervised_chaos_plan(args.seed))
+
+    def verdict(result):
+        chaotic = result["chaotic"]
+        return [
+            f"zero silent drops     : {result['zero_dropped']} "
+            f"({chaotic.answered}/{chaotic.submitted} frames answered)",
+            f"supervision settled   : {chaotic.settled} "
+            "(every guest healthy-with-closed-breaker or explicitly failed)",
+            f"state preserved       : {result['state_preserved']} "
+            "(all guests' digests match the fault-free run)",
+            f"deterministic         : {result['deterministic']} "
+            "(same seed → identical fault + breaker sequences)",
+        ]
+
+    return _run_demo_command(
+        args, functools.partial(chaos.run_supervised_chaos, **shape),
+        functools.partial(chaos.run_supervised_chaos_demo, **shape),
+        "supervised chaotic run", verdict,
+    )
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     """Fleet demo: migration storm + host crash, zero loss, replayable."""
-    from repro.cluster import (
-        default_cluster_plan,
-        run_cluster_demo,
-        run_cluster_workload,
+    from repro import cluster
+
+    shape = dict(
+        seed=args.seed, hosts=args.hosts, guests=args.guests,
+        steps=args.steps,
+        plan=cluster.default_cluster_plan(
+            args.seed, args.hosts, crash_step=max(1, (2 * args.steps) // 3)
+        ),
     )
 
-    plan = default_cluster_plan(
-        args.seed, args.hosts, crash_step=max(1, (2 * args.steps) // 3)
+    def verdict(result):
+        chaotic = result["chaotic"]
+        return [
+            f"zero silent drops     : {result['zero_dropped']} "
+            f"({chaotic.answered}/{chaotic.submitted} frames answered)",
+            f"placed or failed      : True "
+            f"({len(chaotic.final_placements)} guests on UP hosts, "
+            f"{len(chaotic.placement_failures)} failed explicitly)",
+            f"state preserved       : {result['state_preserved']} "
+            "(all digests match the single-host fault-free control)",
+            f"deterministic         : {result['deterministic']} "
+            "(same seed → identical placement, migration and fault "
+            "sequences)",
+        ]
+
+    return _run_demo_command(
+        args,
+        functools.partial(cluster.run_cluster_workload, storm=True, **shape),
+        functools.partial(cluster.run_cluster_demo, **shape),
+        "chaotic fleet run", verdict,
     )
-    tracer, registry, closer = _open_trace(args.trace, args.trace_sample)
-    with closer:
-        if args.single:
-            report = run_cluster_workload(
-                seed=args.seed, hosts=args.hosts, guests=args.guests,
-                steps=args.steps, plan=plan, storm=True,
-                tracer=tracer, counters=registry,
-                conformance=args.conformance,
-            )
-            for line in report.summary_lines():
-                print(line)
-            if args.conformance:
-                print(f"conformance: {report.conformance_checks} decisions "
-                      "oracle-checked, 0 mismatches")
-            _print_trace_summary(args.trace, tracer, registry)
-            return 0
-        result = run_cluster_demo(
-            seed=args.seed, hosts=args.hosts, guests=args.guests,
-            steps=args.steps, plan=plan, tracer=tracer, counters=registry,
-        )
-    chaotic = result["chaotic"]
-    print("== chaotic fleet run ==")
-    for line in chaotic.summary_lines():
-        print(line)
-    print()
-    print("== verdict ==")
-    print(f"zero silent drops     : {result['zero_dropped']} "
-          f"({chaotic.answered}/{chaotic.submitted} frames answered)")
-    print(f"placed or failed      : True "
-          f"({len(chaotic.final_placements)} guests on UP hosts, "
-          f"{len(chaotic.placement_failures)} failed explicitly)")
-    print(f"state preserved       : {result['state_preserved']} "
-          "(all digests match the single-host fault-free control)")
-    print(f"deterministic         : {result['deterministic']} "
-          "(same seed → identical placement, migration and fault "
-          "sequences)")
-    _print_trace_summary(args.trace, tracer, registry)
-    return 0
 
 
 def cmd_health(args: argparse.Namespace) -> int:
@@ -358,9 +331,7 @@ def cmd_attack_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    import contextlib
-
-    from repro.obs import trace as obs_trace
+    from repro.obs import observe
 
     _register_experiments()
     names = list(EXPERIMENTS) if args.id == "all" else [args.id]
@@ -375,12 +346,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         getattr(args, "trace", None), getattr(args, "trace_sample", 1)
     )
     with closer:
-        scope = (
-            obs_trace.tracer_scope(tracer)
-            if tracer is not None
-            else contextlib.nullcontext()
-        )
-        with scope:
+        with observe(tracer=tracer):
             for name in names:
                 result = EXPERIMENTS[name](args.quick)
                 print(result.render())
@@ -403,8 +369,7 @@ def _cmd_trace_live(args: argparse.Namespace) -> int:
         InMemorySink,
         Tracer,
         format_span_tree,
-        registry_scope,
-        tracer_scope,
+        observe,
     )
     from repro.util.errors import ReproError
     from repro.workloads.mixes import GuestSession
@@ -422,7 +387,7 @@ def _cmd_trace_live(args: argparse.Namespace) -> int:
     sink = InMemorySink()
     tracer = Tracer(sink)
     registry = CounterRegistry()
-    with tracer_scope(tracer), registry_scope(registry):
+    with observe(tracer=tracer, registry=registry):
         for _ in range(args.count):
             try:
                 session.run_operation(op)
@@ -723,7 +688,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-injection demo: seeded chaos, zero state loss",
     )
     p_chaos.add_argument("--seed", type=int, default=2026)
-    p_chaos.add_argument("--commands", type=positive_int, default=1000)
+    p_chaos.add_argument("--commands", type=positive_int, default=None,
+                         help="workload length (default: 1000, or 600 "
+                              "with --supervised)")
     p_chaos.add_argument("--supervised", action="store_true",
                          help="run the supervised resilience demo (health "
                               "state machine, breakers, admission control)")
@@ -916,12 +883,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    from repro.util.errors import AcceptanceError
+
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "conformance", False) and not args.single:
         # Without --single the full demo runs and no oracle is attached.
         parser.error(f"{args.command}: --conformance requires --single")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except AcceptanceError as exc:
+        print(f"acceptance failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

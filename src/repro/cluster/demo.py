@@ -20,14 +20,14 @@ crash with in-place recovery.  The oracles:
 The per-guest scripts use only deterministic no-auth commands (extend,
 PCR read) — exactly the commands whose responses depend on nothing but
 the instance's own state, which is what makes the cross-host response
-comparison meaningful.
+comparison meaningful.  The runs and the shared claims come from the
+acceptance driver (:mod:`repro.harness.acceptance`).
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import hashlib
-import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -35,14 +35,19 @@ from repro.cluster.fleet import Fleet, build_fleet
 from repro.cluster.host import HostState
 from repro.core.config import AccessMode
 from repro.crypto.random_source import RandomSource
-from repro.faults import FaultInjector, FaultKind, FaultPlan, injector_scope, spec
-from repro.harness.builder import fresh_timing_context
-from repro.harness.chaos import _state_digest
-from repro.obs import counters as obs_counters
-from repro.obs import trace as obs_trace
-from repro.sim.timing import get_context
+from repro.faults import FaultKind, FaultPlan, spec
+from repro.harness.acceptance import (
+    RunReport,
+    WorkloadRun,
+    claim,
+    observed_run,
+    prove,
+    state_digest,
+)
+from repro.obs import CounterRegistry, Tracer
 from repro.tpm import marshal
-from repro.tpm.constants import NUM_PCRS, TPM_ORD_Extend, TPM_ORD_PcrRead
+from repro.tpm.client import extend_wire, pcr_read_wire
+from repro.tpm.constants import NUM_PCRS
 from repro.util.errors import ClusterError, ReproError
 
 DEFAULT_HOSTS = 4
@@ -83,21 +88,17 @@ def default_cluster_plan(
 
 
 @dataclass
-class ClusterReport:
+class ClusterReport(RunReport):
     """Everything one fleet run produced, for comparison and display."""
 
     seed: int
     hosts: int
     guests: int
     steps: int
-    plan_name: str
     #: per-guest PCR/NV digest of the final instance, wherever it lives
     state_digests: Dict[str, str]
     #: per-guest SHA-256 over every response frame, in script order
     response_digests: Dict[str, str]
-    fault_counts: Dict[str, int]
-    total_faults: int
-    event_signature: Tuple[Tuple[str, str, int], ...]
     placement_signature: Tuple
     migration_signature: Tuple[Tuple[str, str, str, str, int], ...]
     #: the zero-silent-drop ledger
@@ -113,17 +114,12 @@ class ClusterReport:
     migrations_failed: int
     routed: int
     degraded: int
-    elapsed_virtual_us: float
-    #: decisions double-checked by the piggyback conformance oracle
-    #: (0 unless the run was started with ``conformance=True``)
-    conformance_checks: int = 0
 
     def summary_lines(self) -> List[str]:
         lines = [
             f"plan={self.plan_name} seed={self.seed} "
             f"hosts={self.hosts} guests={self.guests} steps={self.steps}",
-            f"faults injected: {self.total_faults} "
-            f"({', '.join(f'{k}={v}' for k, v in sorted(self.fault_counts.items())) or 'none'})",
+            self.faults_line(),
             f"ledger: submitted={self.submitted} answered={self.answered} "
             f"malformed={self.malformed} degraded={self.degraded}",
             f"host crashes survived: {self.host_crashes}; migrations: "
@@ -144,16 +140,6 @@ class ClusterReport:
             lines.append(f"… and {len(self.state_digests) - len(digest_head)} "
                          f"more guests, all digested")
         return lines
-
-
-def _extend_wire(index: int, measurement: bytes) -> bytes:
-    return marshal.build_command(
-        TPM_ORD_Extend, struct.pack(">I", index) + measurement
-    )
-
-
-def _pcr_read_wire(index: int) -> bytes:
-    return marshal.build_command(TPM_ORD_PcrRead, struct.pack(">I", index))
 
 
 def _storm_moves(
@@ -189,8 +175,8 @@ def run_cluster_workload(
     plan: Optional[FaultPlan] = None,
     storm: bool = True,
     mode: AccessMode = AccessMode.IMPROVED,
-    tracer: Optional[obs_trace.Tracer] = None,
-    counters: Optional[obs_counters.CounterRegistry] = None,
+    tracer: Optional[Tracer] = None,
+    counters: Optional[CounterRegistry] = None,
     conformance: bool = False,
 ) -> ClusterReport:
     """One full fleet run; ``plan=None`` means the fault-free control.
@@ -200,44 +186,27 @@ def run_cluster_workload(
     other guest — so the same scripts replay against any fleet shape and
     the per-guest digests are directly comparable across shapes.
 
-    ``conformance=True`` piggybacks the conformance oracle
-    (:mod:`repro.verify.oracle`) on every host's monitor and raises if
-    any authorization decision disagrees with it.
+    Observers and the conformance oracle (on every host's monitor) are
+    as for :func:`~repro.harness.acceptance.observed_run`.
     """
-    fresh_timing_context()
-    with contextlib.ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(obs_trace.tracer_scope(tracer))
-        if counters is not None:
-            stack.enter_context(obs_counters.registry_scope(counters))
-        return _run_cluster_workload(
-            seed, hosts, guests, steps, plan, storm, mode, conformance
-        )
+    return observed_run(
+        functools.partial(
+            _cluster_workload, seed, hosts, guests, steps, storm, mode
+        ),
+        seed, plan, tracer, counters, conformance,
+    )
 
 
-def _run_cluster_workload(
-    seed: int,
-    hosts: int,
-    guests: int,
-    steps: int,
-    plan: Optional[FaultPlan],
-    storm: bool,
-    mode: AccessMode,
-    conformance: bool = False,
-) -> ClusterReport:
+def _cluster_workload(seed: int, hosts: int, guests: int, steps: int,
+                      storm: bool, mode: AccessMode,
+                      run: WorkloadRun) -> ClusterReport:
     # Capacity covers a whole fleet's worth of guests per host, so the
     # one-host control run and mid-storm transients always fit.
     fleet = build_fleet(
         mode=mode, num_hosts=hosts, seed=seed, capacity=max(guests, 4),
     )
-    oracles = []
-    if conformance:
-        from repro.verify.oracle import attach_oracle
-
-        oracles = [
-            attach_oracle(fleet.hosts[host_id].platform)
-            for host_id in sorted(fleet.hosts)
-        ]
+    run.attach(*(fleet.hosts[host_id].platform
+                 for host_id in sorted(fleet.hosts)))
     guest_names = [f"g{index:02d}" for index in range(guests)]
     placement_failures: List[str] = []
     for name in guest_names:
@@ -253,30 +222,24 @@ def _run_cluster_workload(
     }
     response_hash = {name: hashlib.sha256() for name in placed}
 
-    injector = FaultInjector(
-        plan if plan is not None else FaultPlan(name="fault-free", seed=seed),
-        audit=fleet.hosts["h0"].platform.audit,
-    )
-
     submitted = 0
     answered = 0
     malformed = 0
     storm_step = max(1, steps // 3)
     crash_count = 0
-    start_us = get_context().clock.now_us
 
-    with injector_scope(injector):
+    with run.measured(fleet.hosts["h0"].platform.audit):
         for step in range(1, steps + 1):
             crash_count += fleet.poll_host_faults()
             for name in placed:
                 rng = streams[name]
                 op = rng.randint_below(100)
                 if op < 55:
-                    wire = _extend_wire(
+                    wire = extend_wire(
                         rng.randint_below(NUM_PCRS), rng.bytes(20)
                     )
                 else:
-                    wire = _pcr_read_wire(rng.randint_below(NUM_PCRS))
+                    wire = pcr_read_wire(rng.randint_below(NUM_PCRS))
                 submitted += 1
                 response = fleet.router.send(name, wire)
                 answered += 1
@@ -295,14 +258,8 @@ def _run_cluster_workload(
                 fleet.migrator.storm(_storm_moves(fleet, placed))
 
         state_digests = {
-            name: _state_digest(fleet.instance_for(name)) for name in placed
+            name: state_digest(fleet.instance_for(name)) for name in placed
         }
-
-    conformance_checks = 0
-    if oracles:
-        from repro.verify.oracle import settle_oracles
-
-        conformance_checks = settle_oracles(oracles)
 
     moved = sum(
         1 for r in fleet.migrator.trail if r.outcome == "moved"
@@ -315,14 +272,10 @@ def _run_cluster_workload(
         hosts=hosts,
         guests=guests,
         steps=steps,
-        plan_name=injector.plan.name,
         state_digests=state_digests,
         response_digests={
             name: h.hexdigest() for name, h in response_hash.items()
         },
-        fault_counts=dict(injector.fault_counts),
-        total_faults=len(injector.events),
-        event_signature=injector.event_signature(),
         placement_signature=fleet.scheduler.trail_signature(),
         migration_signature=fleet.migrator.trail_signature(),
         submitted=submitted,
@@ -339,8 +292,7 @@ def _run_cluster_workload(
         migrations_failed=failed,
         routed=fleet.router.routed,
         degraded=fleet.router.degraded,
-        elapsed_virtual_us=get_context().clock.now_us - start_us,
-        conformance_checks=conformance_checks,
+        **run.outcome(),
     )
 
 
@@ -350,76 +302,53 @@ def run_cluster_demo(
     guests: int = DEFAULT_GUESTS,
     steps: int = DEFAULT_STEPS,
     plan: Optional[FaultPlan] = None,
-    tracer: Optional[obs_trace.Tracer] = None,
-    counters: Optional[obs_counters.CounterRegistry] = None,
+    tracer: Optional[Tracer] = None,
+    counters: Optional[CounterRegistry] = None,
 ) -> Dict[str, object]:
     """The acceptance demo: single-host control vs chaotic fleet vs replay.
 
-    Raises :class:`AssertionError` on any violated oracle.  ``tracer`` /
-    ``counters`` observe the chaotic run only, so the replay comparison
-    doubles as the observer non-interference check.
+    Raises :class:`~repro.util.errors.AcceptanceError` on any violated
+    oracle.  ``tracer``/``counters`` observe the chaotic run only, so the
+    replay comparison doubles as the observer non-interference check.
     """
-    chaos_plan = plan if plan is not None else default_cluster_plan(
-        seed, hosts, crash_step=max(1, (2 * steps) // 3)
-    )
-    control = run_cluster_workload(
-        seed=seed, hosts=1, guests=guests, steps=steps, plan=None,
-        storm=False,
-    )
-    chaotic = run_cluster_workload(
-        seed=seed, hosts=hosts, guests=guests, steps=steps, plan=chaos_plan,
-        storm=True, tracer=tracer, counters=counters,
-    )
-    replay = run_cluster_workload(
-        seed=seed, hosts=hosts, guests=guests, steps=steps, plan=chaos_plan,
-        storm=True,
+    shape = dict(seed=seed, guests=guests, steps=steps)
+    return prove(
+        functools.partial(run_cluster_workload, hosts=hosts, storm=True,
+                          **shape),
+        plan if plan is not None else default_cluster_plan(
+            seed, hosts, crash_step=max(1, (2 * steps) // 3)
+        ),
+        control=functools.partial(run_cluster_workload, hosts=1,
+                                  storm=False, **shape),
+        # No state loss, no placement sensitivity: digests match the
+        # single-host fault-free control byte for byte.
+        matches_control=("state_digests", "response_digests"),
+        # Replay identity: schedules and fault sequence reproduce exactly.
+        replays=("event_signature", "placement_signature",
+                 "migration_signature", "state_digests", "response_digests"),
+        claims=_cluster_claims,
+        ledger=True,
+        tracer=tracer,
+        counters=counters,
     )
 
-    assert control.total_faults == 0, "control run must be fault-free"
-    assert chaotic.fault_counts.get("partition", 0) > 0, (
-        "the plan never partitioned the cluster link"
-    )
-    assert chaotic.host_crashes >= 1, "the plan never crashed a host"
-    assert chaotic.migrations_moved >= 1, "the storm never moved a guest"
-    # Zero silent drops, in every run.
-    for report in (control, chaotic, replay):
-        assert report.answered == report.submitted, (
-            f"{report.plan_name}: "
-            f"{report.submitted - report.answered} frames silently dropped"
-        )
-        assert report.malformed == 0, (
-            f"{report.plan_name}: {report.malformed} malformed responses"
-        )
+
+def _cluster_claims(control: ClusterReport, chaotic: ClusterReport,
+                    replay: ClusterReport) -> None:
+    claim(chaotic.fault_counts.get("partition", 0) > 0,
+          "the plan never partitioned the cluster link")
+    claim(chaotic.host_crashes >= 1, "the plan never crashed a host")
+    claim(chaotic.migrations_moved >= 1, "the storm never moved a guest")
     # Placed-or-failed: every guest ends on an UP host or failed loudly.
     for report in (chaotic, replay):
         for guest, host_id in report.final_placements.items():
-            assert report.host_states[host_id] == HostState.UP.value, (
+            claim(
+                report.host_states[host_id] == HostState.UP.value,
                 f"guest {guest} stranded on {host_id} "
-                f"({report.host_states[host_id]})"
+                f"({report.host_states[host_id]})",
             )
-        assert (
+        claim(
             len(report.final_placements) + len(report.placement_failures)
-            == report.guests
+            == report.guests,
+            "a guest is neither placed nor an explicit placement failure",
         )
-    # No state loss, no placement sensitivity: digests match the
-    # single-host fault-free control byte for byte.
-    assert chaotic.state_digests == control.state_digests, (
-        "state divergence vs the single-host fault-free control"
-    )
-    assert chaotic.response_digests == control.response_digests, (
-        "response divergence vs the single-host fault-free control"
-    )
-    # Replay identity: schedules and fault sequence reproduce exactly.
-    assert chaotic.event_signature == replay.event_signature
-    assert chaotic.placement_signature == replay.placement_signature
-    assert chaotic.migration_signature == replay.migration_signature
-    assert chaotic.state_digests == replay.state_digests
-    assert chaotic.response_digests == replay.response_digests
-    return {
-        "control": control,
-        "chaotic": chaotic,
-        "replay": replay,
-        "zero_dropped": True,
-        "state_preserved": True,
-        "deterministic": True,
-    }

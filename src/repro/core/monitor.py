@@ -55,8 +55,8 @@ from repro.core.policy import (
     classify_ordinal,
 )
 from repro.obs import counters as obs_counters
-from repro.obs import trace as obs_trace
 from repro.obs.trace import NULL_SPAN
+from repro.sim import timing as _timing
 from repro.sim.timing import charge
 from repro.tpm.constants import ordinal_name
 from repro.tpm.marshal import ParsedCommand, parse_command
@@ -254,7 +254,8 @@ class AccessControlMonitor(Monitor):
         self, caller: Domain, instance_id: int, bound_identity_hex: Optional[str],
         wire: bytes,
     ) -> AuthorizationResult:
-        tracer = obs_trace._current_tracer
+        ctx = _timing._current_context
+        tracer = ctx.tracer
         if tracer is None:
             result = self._authorize(
                 caller, instance_id, bound_identity_hex, wire, NULL_SPAN, None
@@ -265,7 +266,7 @@ class AccessControlMonitor(Monitor):
                     caller, instance_id, bound_identity_hex, wire, span,
                     tracer,
                 )
-        if obs_counters._current_registry is not None:
+        if ctx.registry is not None:
             cls = (
                 classify_ordinal(result.parsed.ordinal).value
                 if result.parsed is not None else "malformed"
@@ -378,7 +379,7 @@ class AccessControlMonitor(Monitor):
         it as a denial and chain it into the audit log — this is the rogue
         re-binding attack being stopped at the configuration layer."""
         self.denials += 1
-        if obs_counters._current_registry is not None:
+        if _timing._current_context.registry is not None:
             _AC_DECISIONS_DENY.inc()
         if self.config.audit:
             self.audit.append_buffered(
@@ -390,7 +391,7 @@ class AccessControlMonitor(Monitor):
         parsed: ParsedCommand,
     ) -> AuthorizationResult:
         if self.config.audit:
-            tracer = obs_trace._current_tracer
+            tracer = _timing._current_context.tracer
             with NULL_SPAN if tracer is None else tracer.start_span("audit"):
                 self.audit.append_buffered(
                     subject, instance_id, operation, True, reason
@@ -405,7 +406,7 @@ class AccessControlMonitor(Monitor):
     ) -> AuthorizationResult:
         self.denials += 1
         if self.config.audit:
-            tracer = obs_trace._current_tracer
+            tracer = _timing._current_context.tracer
             with NULL_SPAN if tracer is None else tracer.start_span("audit"):
                 self.audit.append_buffered(
                     subject, instance_id, operation, False, reason

@@ -20,8 +20,7 @@ from repro.core.policy import PolicyEngine
 from repro.core.protection import MemoryProtector
 from repro.core.sealing import StateSealer
 from repro.crypto.random_source import RandomSource
-from repro.sim.clock import VirtualClock
-from repro.sim.timing import CostModel, TimingContext, set_context
+from repro.sim.timing import fresh_timing_context  # noqa: F401  (re-export)
 from repro.tpm.client import TpmClient
 from repro.tpm.device import TpmDevice
 from repro.util.errors import ReproError
@@ -325,17 +324,6 @@ class Platform:
 
     def hypercalls_for(self, domid: int) -> HypercallInterface:
         return HypercallInterface(self.xen, domid)
-
-
-def fresh_timing_context(cpu_scale: float = 1.0) -> TimingContext:
-    """Install a fresh clock+model; returns the new context.
-
-    Experiments call this first so measurements start at t=0 with no
-    charges leaked from module import or previous runs.
-    """
-    ctx = TimingContext(model=CostModel(cpu_scale=cpu_scale), clock=VirtualClock())
-    set_context(ctx)
-    return ctx
 
 
 def build_platform(

@@ -9,33 +9,34 @@ interrupts the migration.  The claim the demo checks is *zero state
 loss*: the PCR and NV contents of every guest after the chaotic run are
 byte-identical to a fault-free run of the same seed, and the same seed
 reproduces the identical fault sequence twice.
+
+Both demos here, and the fleet demo, run through the shared acceptance
+driver (:mod:`repro.harness.acceptance`).
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import hashlib
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.config import AccessMode
-from repro.faults import (
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    injector_scope,
-    spec,
-    with_retry,
+from repro.faults import FaultKind, FaultPlan, spec, with_retry
+from repro.harness.acceptance import (
+    RunReport,
+    WorkloadRun,
+    claim,
+    observed_run,
+    prove,
+    state_digest,
 )
-from repro.harness.builder import Platform, build_platform, fresh_timing_context
+from repro.harness.builder import Platform, build_platform
 from repro.metrics.recorder import LatencyRecorder
-from repro.obs import counters as obs_counters
-from repro.obs import trace as obs_trace
-from repro.sim.timing import get_context
+from repro.obs import CounterRegistry, Tracer
 from repro.tpm import marshal
-from repro.tpm.client import TpmClient
-from repro.tpm.constants import NUM_PCRS, TPM_ORD_PcrRead
+from repro.tpm.client import TpmClient, pcr_read_wire
+from repro.tpm.constants import NUM_PCRS
 from repro.tpm.nvram import NV_PER_AUTHWRITE
 from repro.util.errors import ReproError
 from repro.vtpm.migration import migrate_with_recovery
@@ -90,34 +91,25 @@ def default_chaos_plan(seed: int = 0) -> FaultPlan:
 
 
 @dataclass
-class ChaosReport:
+class ChaosReport(RunReport):
     """Everything one chaos run produced, for comparison and display."""
 
     seed: int
     commands: int
-    plan_name: str
     digests: Dict[str, str]
-    fault_counts: Dict[str, int]
-    total_faults: int
     retries: int
     recoveries: int
-    event_signature: Tuple[Tuple[str, str, int], ...]
     audit_fault_records: int
     metrics_counts: Dict[str, int]
     mean_recovery_us: float
-    elapsed_virtual_us: float
     #: hex chain head of platform A's audit log — the tracing
     #: non-interference oracle compares this byte-for-byte
     audit_chain_hex: str = ""
-    #: decisions double-checked by the piggyback conformance oracle
-    #: (0 unless the run was started with ``conformance=True``)
-    conformance_checks: int = 0
 
     def summary_lines(self) -> list[str]:
         lines = [
             f"plan={self.plan_name} seed={self.seed} commands={self.commands}",
-            f"faults injected: {self.total_faults} "
-            f"({', '.join(f'{k}={v}' for k, v in sorted(self.fault_counts.items())) or 'none'})",
+            self.faults_line(),
             f"retries={self.retries} recoveries={self.recoveries} "
             f"mean recovery latency={self.mean_recovery_us:.1f} us",
             f"audit fault records={self.audit_fault_records} "
@@ -146,25 +138,13 @@ def _direct_transport(manager, domid: int, instance_id: int):
     return transport
 
 
-def _state_digest(instance) -> str:
-    """PCR + NV digest of one instance — the 'no state loss' yardstick."""
-    state = instance.device.state
-    h = hashlib.sha256()
-    for index in range(NUM_PCRS):
-        h.update(state.pcrs.read(index))
-    for area in sorted(state.nv.areas(), key=lambda a: a.index):
-        h.update(struct.pack(">II", area.index, len(area.data)))
-        h.update(area.data)
-    return h.hexdigest()
-
-
 def run_chaos_workload(
     seed: int = 2026,
     commands: int = DEFAULT_COMMANDS,
     plan: Optional[FaultPlan] = None,
     mode: AccessMode = AccessMode.IMPROVED,
-    tracer: Optional[obs_trace.Tracer] = None,
-    counters: Optional[obs_counters.CounterRegistry] = None,
+    tracer: Optional[Tracer] = None,
+    counters: Optional[CounterRegistry] = None,
     conformance: bool = False,
 ) -> ChaosReport:
     """One full chaos run; ``plan=None`` means the fault-free control run.
@@ -173,39 +153,20 @@ def run_chaos_workload(
     at :data:`MIGRATE_AT`, the hard manager crash at :data:`CRASH_AT` —
     is identical with and without faults; only the injected chaos
     differs.  That is what makes the digest comparison meaningful.
-
-    ``tracer``/``counters`` optionally observe the run: they are installed
-    *after* the timing-context reset (a registry binds to the context it
-    first records under), and the non-interference suite asserts they
-    change no digest and no audit chain byte.
-
-    ``conformance=True`` piggybacks the conformance oracle
-    (:mod:`repro.verify.oracle`) on every authorization decision and
-    raises if the pipeline ever disagrees with it.
+    Observers and the conformance oracle are as for
+    :func:`~repro.harness.acceptance.observed_run`.
     """
-    fresh_timing_context()
-    with contextlib.ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(obs_trace.tracer_scope(tracer))
-        if counters is not None:
-            stack.enter_context(obs_counters.registry_scope(counters))
-        return _run_chaos_workload(seed, commands, plan, mode, conformance)
+    return observed_run(
+        functools.partial(_chaos_workload, seed, commands, mode),
+        seed, plan, tracer, counters, conformance,
+    )
 
 
-def _run_chaos_workload(
-    seed: int,
-    commands: int,
-    plan: Optional[FaultPlan],
-    mode: AccessMode,
-    conformance: bool = False,
-) -> ChaosReport:
+def _chaos_workload(seed: int, commands: int, mode: AccessMode,
+                    run: WorkloadRun) -> ChaosReport:
     platform_a = build_platform(mode, seed=seed, name="chaos-a")
     platform_b = build_platform(mode, seed=seed + 1, name="chaos-b")
-    oracles = []
-    if conformance:
-        from repro.verify.oracle import attach_oracle
-
-        oracles = [attach_oracle(platform_a), attach_oracle(platform_b)]
+    run.attach(platform_a, platform_b)
 
     # -- setup (outside the injector's reach) --------------------------------------
     anchor = platform_a.add_guest("anchor")
@@ -219,20 +180,13 @@ def _run_chaos_workload(
 
     workload_rng = platform_a.rng.fork("chaos-workload")
     metrics = LatencyRecorder()
-    injector = FaultInjector(
-        plan if plan is not None else FaultPlan(name="fault-free", seed=seed),
-        audit=platform_a.audit,
-        metrics=metrics,
-    )
-
     clients: Dict[str, TpmClient] = {
         "anchor": anchor.client,
         "mover": mover.client,
     }
     mover_home: Tuple[Platform, str] = (platform_a, mover.domain.uuid)
-    start_us = get_context().clock.now_us
 
-    with injector_scope(injector):
+    with run.measured(platform_a.audit, metrics) as injector:
         for step in range(1, commands + 1):
             name = "anchor" if workload_rng.randint_below(2) == 0 else "mover"
             client = clients[name]
@@ -287,31 +241,21 @@ def _run_chaos_workload(
                 platform_a.restart_manager(clean=False)
 
         digests = {
-            "anchor": _state_digest(
+            "anchor": state_digest(
                 platform_a.manager.instance_for_vm(anchor.domain.uuid)
             ),
-            "mover": _state_digest(
+            "mover": state_digest(
                 mover_home[0].manager.instance_for_vm(mover_home[1])
             ),
         }
-
-    conformance_checks = 0
-    if oracles:
-        from repro.verify.oracle import settle_oracles
-
-        conformance_checks = settle_oracles(oracles)
 
     recovery = metrics.samples("fault.recovery")
     return ChaosReport(
         seed=seed,
         commands=commands,
-        plan_name=injector.plan.name,
         digests=digests,
-        fault_counts=dict(injector.fault_counts),
-        total_faults=len(injector.events),
         retries=injector.retries,
         recoveries=injector.recoveries,
-        event_signature=injector.event_signature(),
         audit_fault_records=sum(
             1 for r in platform_a.audit.records()
             if r.operation.startswith("FAULT")
@@ -320,9 +264,8 @@ def _run_chaos_workload(
             name: len(metrics.samples(name)) for name in metrics.names()
         },
         mean_recovery_us=(sum(recovery) / len(recovery)) if recovery else 0.0,
-        elapsed_virtual_us=get_context().clock.now_us - start_us,
         audit_chain_hex=platform_a.audit.chain_head().hex(),
-        conformance_checks=conformance_checks,
+        **run.outcome(),
     )
 
 
@@ -330,44 +273,35 @@ def run_chaos_demo(
     seed: int = 2026,
     commands: int = DEFAULT_COMMANDS,
     plan: Optional[FaultPlan] = None,
-    tracer: Optional[obs_trace.Tracer] = None,
-    counters: Optional[obs_counters.CounterRegistry] = None,
+    tracer: Optional[Tracer] = None,
+    counters: Optional[CounterRegistry] = None,
 ) -> Dict[str, object]:
     """The acceptance demo: fault-free vs chaotic vs chaotic-again.
 
-    Returns a result dict and raises :class:`AssertionError` if any of the
-    three robustness claims fails — state loss, fault starvation, or
-    non-determinism.  ``tracer``/``counters`` observe the *chaotic* run
-    only; the determinism assertions then double as proof that observation
-    changed nothing.
+    Returns the driver's result dict and raises
+    :class:`~repro.util.errors.AcceptanceError` if a robustness claim
+    fails — state loss, fault starvation, or non-determinism.
+    ``tracer``/``counters`` observe the *chaotic* run only; the
+    determinism claims then double as proof that observation changed
+    nothing.
     """
-    chaos_plan = plan if plan is not None else default_chaos_plan(seed)
-    clean = run_chaos_workload(seed=seed, commands=commands, plan=None)
-    chaotic = run_chaos_workload(
-        seed=seed, commands=commands, plan=chaos_plan,
-        tracer=tracer, counters=counters,
+    return prove(
+        functools.partial(run_chaos_workload, seed=seed, commands=commands),
+        plan if plan is not None else default_chaos_plan(seed),
+        matches_control=("digests",),
+        replays=("event_signature", "digests"),
+        claims=_chaos_claims,
+        tracer=tracer,
+        counters=counters,
     )
-    replay = run_chaos_workload(seed=seed, commands=commands, plan=chaos_plan)
 
-    assert clean.total_faults == 0, "control run must be fault-free"
-    assert len(chaotic.fault_counts) >= 4, (
-        f"chaos plan only exercised {sorted(chaotic.fault_counts)}"
-    )
-    assert chaotic.digests == clean.digests, (
-        "state loss: post-recovery PCR/NV diverged from the fault-free run"
-    )
-    assert chaotic.event_signature == replay.event_signature, (
-        "non-determinism: same seed produced a different fault sequence"
-    )
-    assert chaotic.digests == replay.digests
-    assert chaotic.audit_fault_records >= chaotic.total_faults
-    return {
-        "clean": clean,
-        "chaotic": chaotic,
-        "replay": replay,
-        "state_preserved": True,
-        "deterministic": True,
-    }
+
+def _chaos_claims(control: ChaosReport, chaotic: ChaosReport,
+                  replay: ChaosReport) -> None:
+    claim(len(chaotic.fault_counts) >= 4,
+          f"chaos plan only exercised {sorted(chaotic.fault_counts)}")
+    claim(chaotic.audit_fault_records >= chaotic.total_faults,
+          "an injected fault is missing from the audit chain")
 
 
 # -- supervised chaos -----------------------------------------------------------------
@@ -417,16 +351,12 @@ def supervised_chaos_plan(seed: int = 0) -> FaultPlan:
 
 
 @dataclass
-class SupervisedChaosReport:
+class SupervisedChaosReport(RunReport):
     """Everything one supervised chaos run produced."""
 
     seed: int
     commands: int
-    plan_name: str
     digests: Dict[str, str]
-    fault_counts: Dict[str, int]
-    total_faults: int
-    event_signature: Tuple[Tuple[str, str, int], ...]
     #: the zero-silent-drop ledger
     submitted: int
     answered: int
@@ -439,16 +369,12 @@ class SupervisedChaosReport:
     breaker_sequences: Dict[str, Tuple]
     health: Dict[str, Dict[str, object]]
     settled: bool
-    elapsed_virtual_us: float
     audit_chain_hex: str = ""
-    #: decisions double-checked by the piggyback conformance oracle
-    conformance_checks: int = 0
 
     def summary_lines(self) -> list[str]:
         lines = [
             f"plan={self.plan_name} seed={self.seed} commands={self.commands}",
-            f"faults injected: {self.total_faults} "
-            f"({', '.join(f'{k}={v}' for k, v in sorted(self.fault_counts.items())) or 'none'})",
+            self.faults_line(),
             f"ledger: submitted={self.submitted} answered={self.answered} "
             f"malformed={self.malformed}",
             "response codes: "
@@ -473,44 +399,28 @@ class SupervisedChaosReport:
         return lines
 
 
-def _pcr_read_wire(index: int) -> bytes:
-    return marshal.build_command(TPM_ORD_PcrRead, index.to_bytes(4, "big"))
-
-
 def run_supervised_chaos(
     seed: int = 2026,
     commands: int = SUPERVISED_COMMANDS,
     plan: Optional[FaultPlan] = None,
     mode: AccessMode = AccessMode.IMPROVED,
-    tracer: Optional[obs_trace.Tracer] = None,
-    counters: Optional[obs_counters.CounterRegistry] = None,
+    tracer: Optional[Tracer] = None,
+    counters: Optional[CounterRegistry] = None,
     conformance: bool = False,
 ) -> SupervisedChaosReport:
     """One supervised chaos run; ``plan=None`` is the fault-free control."""
-    fresh_timing_context()
-    with contextlib.ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(obs_trace.tracer_scope(tracer))
-        if counters is not None:
-            stack.enter_context(obs_counters.registry_scope(counters))
-        return _run_supervised_chaos(seed, commands, plan, mode, conformance)
+    return observed_run(
+        functools.partial(_supervised_workload, seed, commands, mode),
+        seed, plan, tracer, counters, conformance,
+    )
 
 
-def _run_supervised_chaos(
-    seed: int,
-    commands: int,
-    plan: Optional[FaultPlan],
-    mode: AccessMode,
-    conformance: bool = False,
-) -> SupervisedChaosReport:
+def _supervised_workload(seed: int, commands: int, mode: AccessMode,
+                         run: WorkloadRun) -> SupervisedChaosReport:
     from repro.resilience import AdmissionConfig
 
     platform = build_platform(mode, seed=seed, name="supervised-chaos")
-    oracles = []
-    if conformance:
-        from repro.verify.oracle import attach_oracle
-
-        oracles = [attach_oracle(platform)]
+    run.attach(platform)
 
     # -- setup (outside the injector's reach) --------------------------------------
     anchor = platform.add_guest("anchor")
@@ -534,10 +444,6 @@ def _run_supervised_chaos(
         breaker_cooldown_us=2_000.0,
     )
 
-    injector = FaultInjector(
-        plan if plan is not None else FaultPlan(name="fault-free", seed=seed),
-        audit=platform.audit,
-    )
     workload_rng = platform.rng.fork("supervised-workload")
 
     submitted = 0
@@ -555,8 +461,7 @@ def _run_supervised_chaos(
             return
         response_codes[code] = response_codes.get(code, 0) + 1
 
-    start_us = get_context().clock.now_us
-    with injector_scope(injector):
+    with run.measured(platform.audit):
         for step in range(1, commands + 1):
             # The anchor does normal, state-changing trusted-computing work
             # throughout — its digest must not feel the chaos at all.
@@ -573,14 +478,14 @@ def _run_supervised_chaos(
 
             # The victim drives one read per step, raw on the wire so shed
             # and degraded frames land in the ledger instead of raising.
-            wire = _pcr_read_wire(step % NUM_PCRS)
+            wire = pcr_read_wire(step % NUM_PCRS)
             submitted += 1
             note(victim.frontend.transport(wire))
 
             # The bursty guest floods the ring with oversized batches.
             if step % BURST_EVERY == 0:
                 burst = [
-                    _pcr_read_wire((step + i) % NUM_PCRS)
+                    pcr_read_wire((step + i) % NUM_PCRS)
                     for i in range(BURST_SIZE)
                 ]
                 submitted += len(burst)
@@ -591,7 +496,7 @@ def _run_supervised_chaos(
         supervisor.drain()
 
         digests = {
-            name: _state_digest(
+            name: state_digest(
                 platform.manager.instance_for_vm(handle.domain.uuid)
             )
             for name, handle in (
@@ -599,21 +504,11 @@ def _run_supervised_chaos(
             )
         }
 
-    conformance_checks = 0
-    if oracles:
-        from repro.verify.oracle import settle_oracles
-
-        conformance_checks = settle_oracles(oracles)
-
     status = {entry["guest"]: entry for entry in supervisor.status()}
     return SupervisedChaosReport(
         seed=seed,
         commands=commands,
-        plan_name=injector.plan.name,
         digests=digests,
-        fault_counts=dict(injector.fault_counts),
-        total_faults=len(injector.events),
-        event_signature=injector.event_signature(),
         submitted=submitted,
         answered=answered,
         malformed=malformed,
@@ -626,9 +521,8 @@ def _run_supervised_chaos(
         },
         health=status,
         settled=supervisor.settled(),
-        elapsed_virtual_us=get_context().clock.now_us - start_us,
         audit_chain_hex=platform.audit.chain_head().hex(),
-        conformance_checks=conformance_checks,
+        **run.outcome(),
     )
 
 
@@ -636,53 +530,42 @@ def run_supervised_chaos_demo(
     seed: int = 2026,
     commands: int = SUPERVISED_COMMANDS,
     plan: Optional[FaultPlan] = None,
+    tracer: Optional[Tracer] = None,
+    counters: Optional[CounterRegistry] = None,
 ) -> Dict[str, object]:
     """The supervised acceptance demo: fault-free vs chaotic vs replay.
 
-    Raises :class:`AssertionError` if any resilience claim fails: a
-    silently dropped command, a quarantined instance that neither
-    recovered nor failed explicitly, chaos bleeding into unaffected
-    guests' state, or a non-deterministic breaker schedule.
+    Raises :class:`~repro.util.errors.AcceptanceError` if a resilience
+    claim fails: a silently dropped command, a quarantined instance that
+    neither recovered nor failed explicitly, chaos bleeding into
+    unaffected guests' state, or a non-deterministic breaker schedule.
+    ``tracer``/``counters`` observe the chaotic run only.
     """
-    chaos_plan = plan if plan is not None else supervised_chaos_plan(seed)
-    clean = run_supervised_chaos(seed=seed, commands=commands, plan=None)
-    chaotic = run_supervised_chaos(seed=seed, commands=commands,
-                                   plan=chaos_plan)
-    replay = run_supervised_chaos(seed=seed, commands=commands,
-                                  plan=chaos_plan)
+    return prove(
+        functools.partial(run_supervised_chaos, seed=seed, commands=commands),
+        plan if plan is not None else supervised_chaos_plan(seed),
+        # Chaos must not bleed into state: every guest's digest matches
+        # the fault-free run (the victim's reads changed nothing after its
+        # checkpoint, so even its restored state is byte-identical).
+        matches_control=("digests",),
+        # Same seed, same fault sequence, same breaker schedule.
+        replays=("event_signature", "breaker_sequences", "digests",
+                 "shed_counts"),
+        claims=_supervised_claims,
+        ledger=True,
+        tracer=tracer,
+        counters=counters,
+    )
 
-    assert clean.total_faults == 0, "control run must be fault-free"
-    assert chaotic.total_faults > 0, "chaos plan never fired"
-    # Zero silent drops: every frame answered, every answer well-formed.
-    for report in (clean, chaotic, replay):
-        assert report.answered == report.submitted, (
-            f"{report.plan_name}: {report.submitted - report.answered} "
-            f"commands silently dropped"
-        )
-        assert report.malformed == 0, (
-            f"{report.plan_name}: {report.malformed} malformed responses"
-        )
+
+def _supervised_claims(control: SupervisedChaosReport,
+                       chaotic: SupervisedChaosReport,
+                       replay: SupervisedChaosReport) -> None:
+    claim(chaotic.total_faults > 0, "chaos plan never fired")
     # Every quarantined instance was restored-and-re-attested (settled
     # healthy) or explicitly failed — never left in limbo.
-    assert chaotic.settled, f"unsettled run: {chaotic.health}"
-    assert any(
-        record["restarts"] > 0 for record in chaotic.health.values()
-    ), "the wedge storm never drove a supervised restart"
-    # Chaos must not bleed into state: every guest's digest matches the
-    # fault-free run (the victim's reads changed nothing after its
-    # checkpoint, so even its restored state is byte-identical).
-    assert chaotic.digests == clean.digests, (
-        "state divergence from the fault-free run"
+    claim(chaotic.settled, f"unsettled run: {chaotic.health}")
+    claim(
+        any(record["restarts"] > 0 for record in chaotic.health.values()),
+        "the wedge storm never drove a supervised restart",
     )
-    # Determinism: same seed, same fault sequence, same breaker schedule.
-    assert chaotic.event_signature == replay.event_signature
-    assert chaotic.breaker_sequences == replay.breaker_sequences
-    assert chaotic.digests == replay.digests
-    assert chaotic.shed_counts == replay.shed_counts
-    return {
-        "clean": clean,
-        "chaotic": chaotic,
-        "replay": replay,
-        "zero_dropped": True,
-        "deterministic": True,
-    }

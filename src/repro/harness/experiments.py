@@ -767,10 +767,10 @@ def run_batching_sweep(
     per-command (the monitor's decision cache keeps that cheap), so the
     curve flattens toward the irreducible per-command work.
     """
-    from repro.harness.profiling import _pcr_read_wire
+    from repro.tpm.client import pcr_read_wire
 
     points: List[tuple] = []
-    wire = _pcr_read_wire()
+    wire = pcr_read_wire(10)
     for vms in vm_counts:
         for batch in batch_sizes:
             fresh_timing_context()

@@ -1,4 +1,9 @@
-"""Latency recording against the virtual clock."""
+"""Latency recording against the virtual clock.
+
+A :class:`LatencyRecorder` follows the same epoch rule as the counter
+registry (:func:`~repro.sim.timing.check_epoch`): it binds to the timing
+context it first records under and refuses samples from a later one.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ from collections import defaultdict
 from typing import Dict, Iterator, List
 
 from repro.metrics.stats import Summary, summarize
-from repro.sim.timing import get_context
+from repro.sim.timing import check_epoch, get_context
 from repro.util.errors import ReproError
 
 
@@ -41,22 +46,10 @@ class LatencyRecorder:
         self._samples: Dict[str, List[float]] = defaultdict(list)
         self._ctx = None
 
-    def _check_context(self) -> None:
-        ctx = get_context()
-        if self._ctx is None:
-            self._ctx = ctx
-        elif ctx is not self._ctx:
-            raise ReproError(
-                "LatencyRecorder is bound to an earlier timing context; "
-                "samples recorded across a sim-context reset would silently "
-                "mix epochs — call clear() (or use a fresh recorder) after "
-                "fresh_timing_context()"
-            )
-
     def record(self, name: str, value_us: float) -> None:
         if value_us < 0:
             raise ReproError(f"negative latency {value_us} for {name!r}")
-        self._check_context()
+        self._ctx = check_epoch(self._ctx, "LatencyRecorder", "clear")
         self._samples[name].append(value_us)
 
     def measure(self, name: str) -> "_Measurement":

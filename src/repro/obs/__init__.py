@@ -1,8 +1,9 @@
 """End-to-end observability: trace spans, counters, sinks.
 
 The pipeline (frontend → ring → backend → manager → monitor → engine) is
-instrumented with :func:`span` / :func:`inc` hook sites.  Both are
-ambient-installed like the fault injector: with nothing installed every
+instrumented with :func:`span` / :func:`inc` hook sites.  Both read
+their observer off the run context (``tracer`` and ``registry`` on
+:class:`~repro.sim.timing.TimingContext`): with no observer set every
 hook is a single ``None`` check, charges no virtual time, and touches no
 simulation state — the integration suite asserts that traced and
 untraced runs produce byte-identical state digests and audit chains.
@@ -12,8 +13,8 @@ Typical use::
     from repro import obs
 
     sink = obs.InMemorySink()
-    with obs.tracer_scope(obs.Tracer(sink)), \\
-         obs.registry_scope(obs.CounterRegistry()) as counters:
+    counters = obs.CounterRegistry()
+    with obs.observe(tracer=obs.Tracer(sink), registry=counters):
         guest.client.pcr_read(10)
     sink.validate()                     # structural oracle
     print(counters.exposition())        # text exposition format
@@ -23,10 +24,7 @@ from repro.obs.counters import (
     CounterHandle,
     CounterRegistry,
     counter,
-    current_registry,
     inc,
-    install_registry,
-    registry_scope,
     set_gauge,
 )
 from repro.obs.sinks import (
@@ -42,13 +40,11 @@ from repro.obs.trace import (
     NULL_SPAN,
     Span,
     Tracer,
-    current_tracer,
-    install_tracer,
     span,
     span_event,
-    tracer_scope,
     validate_span_tree,
 )
+from repro.sim.timing import observe
 
 __all__ = [
     "CounterHandle",
@@ -61,18 +57,13 @@ __all__ = [
     "Span",
     "Tracer",
     "counter",
-    "current_registry",
-    "current_tracer",
     "format_span_tree",
     "inc",
-    "install_registry",
-    "install_tracer",
     "load_jsonl",
-    "registry_scope",
+    "observe",
     "set_gauge",
     "span",
     "span_event",
-    "tracer_scope",
     "validate_span_tree",
     "validate_tree_dict",
 ]

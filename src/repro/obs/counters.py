@@ -1,27 +1,32 @@
-"""Process-wide counter/gauge registry with a text exposition format.
+"""Counter/gauge registry with a text exposition format.
 
 Counters answer the questions the span trees are too granular for: how
 many commands of each ordinal class ran, the allow/deny split, the
 decision-cache hit ratio, batch sizes, injected faults and retries.
-Hook sites call the module-level :func:`inc` / :func:`set_gauge`; with no
-registry installed those are a single ``None`` check, so the disabled
-path costs nothing and can never perturb the simulation.
+A run's registry lives on the run context
+(:attr:`~repro.sim.timing.TimingContext.registry`, set with
+:func:`~repro.sim.timing.observe`).  Hook sites call the module-level
+:func:`inc` / :func:`set_gauge`; with no registry on the context those
+are a single ``None`` check, so the disabled path costs nothing and can
+never perturb the simulation.
 
 Hot sites use **counter handles** instead: a :class:`CounterHandle` is
 created once at module-import time with :func:`counter` and pre-resolves
 its ``(name, labels)`` series key.  Its :meth:`~CounterHandle.inc` is a
-global read, two identity compares and a list-cell add — no kwargs dict,
-no tuple building, no hashing — yet it follows registry installation and
-timing-context epochs exactly like the named path (a stale-epoch write
-still raises).  Counts are stored in shared one-element list cells, so
-handle writes and named writes to the same series land in one place.
+context read, three identity compares and a list-cell add — no kwargs
+dict, no tuple building, no hashing — yet it follows the context's
+registry and timing-context epochs exactly like the named path (a
+stale-epoch write still raises).  Counts are stored in shared
+one-element list cells, so handle writes and named writes to the same
+series land in one place.
 
-A registry is **bound to the timing context it first records under**.
+A registry is **bound to the timing context it first records under**
+(the epoch rule, :func:`~repro.sim.timing.check_epoch`, shared with
+:class:`~repro.metrics.recorder.LatencyRecorder`).
 ``fresh_timing_context()`` starts a new measurement epoch (clock back to
-zero), and silently mixing counts across that reset is the same bug the
-:class:`~repro.metrics.recorder.LatencyRecorder` fix guards against — so
-a cross-context write raises :class:`~repro.util.errors.ReproError`
-instead.  ``reset()`` clears the counts *and* the binding.
+zero) and keeps the registry on the new context, so a write after the
+reset raises :class:`~repro.util.errors.ReproError` instead of silently
+mixing epochs.  ``reset()`` clears the counts *and* the binding.
 
 The exposition format is the Prometheus text convention (one
 ``name{label="value",…} count`` line per series), minus the type
@@ -34,11 +39,9 @@ exposition text.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim import timing as _timing
-from repro.sim.timing import get_context
 from repro.util.errors import ReproError
 
 _LabelKey = Tuple[Tuple[str, str], ...]
@@ -73,16 +76,7 @@ class CounterRegistry:
     # -- context binding ---------------------------------------------------------
 
     def _check_context(self) -> None:
-        ctx = get_context()
-        if self._ctx is None:
-            self._ctx = ctx
-        elif ctx is not self._ctx:
-            raise ReproError(
-                "CounterRegistry is bound to an earlier timing context; "
-                "counts recorded across a sim-context reset would mix "
-                "measurement epochs — call reset() (or use a fresh registry) "
-                "after fresh_timing_context()"
-            )
+        self._ctx = _timing.check_epoch(self._ctx, "CounterRegistry", "reset")
 
     def reset(self) -> None:
         """Drop all series and the context binding (new measurement epoch).
@@ -175,45 +169,16 @@ class CounterRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-# -- ambient installation -------------------------------------------------------------
-
-_current_registry: Optional[CounterRegistry] = None
-
-
-def install_registry(
-    registry: Optional[CounterRegistry],
-) -> Optional[CounterRegistry]:
-    """Install (or clear, with ``None``) the ambient registry."""
-    global _current_registry
-    previous = _current_registry
-    _current_registry = registry
-    return previous
-
-
-def current_registry() -> Optional[CounterRegistry]:
-    return _current_registry
-
-
-@contextlib.contextmanager
-def registry_scope(registry: CounterRegistry) -> Iterator[CounterRegistry]:
-    """``with registry_scope(reg):`` — counts land only inside the block."""
-    previous = install_registry(registry)
-    try:
-        yield registry
-    finally:
-        install_registry(previous)
-
-
 def inc(name: str, amount: float = 1.0, **labels) -> None:
     """Hook entry point: count one event; no-op when no registry is on."""
-    registry = _current_registry
+    registry = _timing._current_context.registry
     if registry is not None:
         registry.inc(name, amount, **labels)
 
 
 def set_gauge(name: str, value: float, **labels) -> None:
     """Hook entry point: record a last-value gauge; no-op when off."""
-    registry = _current_registry
+    registry = _timing._current_context.registry
     if registry is not None:
         registry.set_gauge(name, value, **labels)
 
@@ -224,7 +189,7 @@ class CounterHandle:
     Create once at module init with :func:`counter`; call
     :meth:`inc`/:meth:`add` per event.  The handle caches the registry it
     last resolved against plus that registry's bound timing context; when
-    either changes (a new ``registry_scope``, a ``reset()``, or a
+    either changes (a new ``observe`` scope, a ``reset()``, or a
     ``fresh_timing_context()``) the cached cell is re-resolved through the
     full checked path, so epoch violations still raise exactly as they do
     for :meth:`CounterRegistry.inc`.
@@ -258,13 +223,14 @@ class CounterHandle:
 
     def inc(self, amount: float = 1.0) -> None:
         """Count ``amount`` events; a ``None`` check when counting is off."""
-        registry = _current_registry
+        ctx = _timing._current_context
+        registry = ctx.registry
         if registry is None:
             return
         if (
             registry is not self._registry
             or registry._epoch_token is not self._epoch
-            or _timing._current_context is not self._registry_ctx
+            or ctx is not self._registry_ctx
         ):
             cell = self._rebind(registry, amount)
         else:

@@ -14,16 +14,19 @@ simulator knows about:
   of the seed) skips both host-clock reads per span, the single most
   expensive instruction in the span lifecycle on virtualized hosts.
 
-Instrumented code calls :func:`span` at named sites.  The contract is the
-same as the fault injector's :func:`~repro.faults.injector.fire`: with no
-tracer installed the call is one module-global ``None`` check returning a
-shared no-op span, charges nothing to the virtual clock, and touches no
-simulation state — so tracing can never alter behaviour, enabled or not.
-Spans only ever *read* the clock; they never advance it.
+A run's tracer lives on the run context
+(:attr:`~repro.sim.timing.TimingContext.tracer`, set with
+:func:`~repro.sim.timing.observe`).  Instrumented code calls :func:`span`
+at named sites.  The contract is the same as the fault injector's
+:func:`~repro.faults.injector.fire`: with no tracer on the context the
+call is one ``None`` check returning a shared no-op span, charges
+nothing to the virtual clock, and touches no simulation state — so
+tracing can never alter behaviour, enabled or not.  Spans only ever
+*read* the clock; they never advance it.
 
 Hot call sites go one step further and use the **guarded-span pattern**::
 
-    tracer = obs_trace._current_tracer
+    tracer = _timing._current_context.tracer
     if tracer is None:
         ...plain body...
     else:
@@ -55,14 +58,13 @@ Two cost features keep tracing near-free:
   the root count and the seed: no RNG, no clock, so two same-seed runs
   sample the identical trees (replay-identical) and neither timebase is
   perturbed.  While a root is suppressed the tracer hides itself from
-  the ambient slot, so nested guarded sites take their tracer-is-None
+  the run context, so nested guarded sites take their tracer-is-None
   path — a skipped tree costs one sampling check, not one call per span.
   Counters are unaffected by sampling — they stay exact.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
 from typing import Dict, Iterator, List, Optional
 
@@ -208,11 +210,11 @@ NULL_SPAN = _NullSpan()
 class _SkipScope:
     """Returned for a sampled-out root span.
 
-    While a root is suppressed the tracer **hides itself** from the
-    ambient slot (``_current_tracer`` becomes ``None`` for the root's
-    dynamic extent), so every nested guarded site takes its plain
-    tracer-is-None path — a skipped tree costs one sampling check at the
-    root, not one call per span.  ``__exit__`` reinstalls the tracer.
+    While a root is suppressed the tracer **hides itself** from the run
+    context (its ``tracer`` reads ``None`` for the root's dynamic extent),
+    so every nested guarded site takes its plain tracer-is-None path — a
+    skipped tree costs one sampling check at the root, not one call per
+    span.  ``__exit__`` puts the tracer back on that context.
     One shared instance per tracer; skipped roots cannot nest (nested
     sites never see the tracer while it is hidden).
     """
@@ -226,12 +228,12 @@ class _SkipScope:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        global _current_tracer
         tracer = self._tracer
         tracer._skipping = False
-        if tracer._hid:
-            tracer._hid = False
-            _current_tracer = tracer
+        hid_on = tracer._hid_on
+        if hid_on is not None:
+            tracer._hid_on = None
+            hid_on.tracer = tracer
 
     def set(self, key: str, value) -> "_SkipScope":
         return self
@@ -266,7 +268,8 @@ class Tracer:
         self._stack: List[Span] = []
         self._pool: List[Span] = []
         self._skipping = False
-        self._hid = False
+        #: the context this tracer hid itself from for a suppressed root
+        self._hid_on = None
         self._root_claimed = False
         self._skip_scope = _SkipScope(self)
         self.spans_started = 0
@@ -280,15 +283,15 @@ class Tracer:
 
         The root-site fast path: a known-root call site asks for the
         sampling verdict *before* building its attribute dict, and on
-        ``False`` runs its body with the ambient tracer hidden by hand
+        ``False`` runs its body with the context's tracer hidden by hand
         (plain try/finally, no span machinery at all)::
 
             if tracer._stack or tracer.keep_root():
                 with tracer.start_span("site", {...}): ...body...
             else:
-                obs_trace._current_tracer = None
+                ctx.tracer = None
                 try: ...body...
-                finally: obs_trace._current_tracer = tracer
+                finally: ctx.tracer = tracer
 
         On ``True`` the verdict is remembered, so the immediately
         following ``start_span`` does not re-sample (the root is not
@@ -306,7 +309,7 @@ class Tracer:
     def start_span(self, name: str, attrs: Optional[Dict] = None) -> Span:
         if self._skipping:
             # Direct call on a captured tracer inside a suppressed root
-            # (ambient sites never get here: the tracer is hidden).
+            # (context read sites never get here: the tracer is hidden).
             return NULL_SPAN
         stack = self._stack
         if not stack:
@@ -317,12 +320,12 @@ class Tracer:
                 self.roots_seen = index + 1
                 rate = self.sample_rate
                 if rate > 1 and (index - self.sample_seed) % rate:
-                    global _current_tracer
                     self.roots_skipped += 1
                     self._skipping = True
-                    if _current_tracer is self:
-                        self._hid = True
-                        _current_tracer = None
+                    ctx = _timing._current_context
+                    if ctx.tracer is self:
+                        self._hid_on = ctx
+                        ctx.tracer = None
                     return self._skip_scope
         pool = self._pool
         if pool:
@@ -397,36 +400,9 @@ class Tracer:
         return self._stack[-1] if self._stack else None
 
 
-# -- ambient installation (mirrors faults.injector) ---------------------------------
-
-_current_tracer: Optional[Tracer] = None
-
-
-def install_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """Install (or clear, with ``None``) the ambient tracer."""
-    global _current_tracer
-    previous = _current_tracer
-    _current_tracer = tracer
-    return previous
-
-
-def current_tracer() -> Optional[Tracer]:
-    return _current_tracer
-
-
-@contextlib.contextmanager
-def tracer_scope(tracer: Tracer) -> Iterator[Tracer]:
-    """``with tracer_scope(t):`` — spans are collected only inside."""
-    previous = install_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        install_tracer(previous)
-
-
 def span(name: str, **attrs):
     """Open a span at a hook site; a shared no-op when tracing is off."""
-    tracer = _current_tracer
+    tracer = _timing._current_context.tracer
     if tracer is None:
         return NULL_SPAN
     return tracer.start_span(name, attrs or None)
@@ -434,7 +410,7 @@ def span(name: str, **attrs):
 
 def span_event(name: str, **attrs) -> None:
     """Annotate the innermost open span (no-op when tracing is off)."""
-    tracer = _current_tracer
+    tracer = _timing._current_context.tracer
     if tracer is None:
         return
     current = tracer.current_span()

@@ -162,17 +162,27 @@ class CostLedger:
 
 
 class TimingContext:
-    """The ambient (model, clock, ledger-stack) triple used by :func:`charge`.
+    """The ambient run context: cost model, clock, ledger stack, observers.
 
     The simulation is single-threaded, so a module-level current context is
-    safe and saves plumbing a handle through every substrate call.
+    safe and saves plumbing a handle through every substrate call.  Besides
+    the (model, clock, ledger-stack) triple used by :func:`charge`, the
+    context carries the run's observers: ``tracer`` (a
+    :class:`~repro.obs.trace.Tracer`) and ``registry`` (a
+    :class:`~repro.obs.counters.CounterRegistry`).  Hook sites read them
+    straight off the context; ``None`` means "not observed", which is how
+    a bare ``TimingContext()`` starts.  Use :func:`observe` to set them.
     """
+
+    __slots__ = ("model", "clock", "_ledgers", "tracer", "registry")
 
     def __init__(self, model: Optional[CostModel] = None,
                  clock: Optional[VirtualClock] = None) -> None:
         self.model = model or CostModel()
         self.clock = clock or VirtualClock()
         self._ledgers: list[CostLedger] = []
+        self.tracer = None
+        self.registry = None
 
     def charge(self, op: str, units: float = 1.0) -> float:
         """Charge one operation: advance the clock, feed open ledgers.
@@ -208,16 +218,67 @@ class TimingContext:
 _current_context = TimingContext()
 
 
-def set_context(ctx: TimingContext) -> TimingContext:
-    """Install ``ctx`` as the ambient timing context; returns the previous one."""
-    global _current_context
-    previous = _current_context
-    _current_context = ctx
-    return previous
-
-
 def get_context() -> TimingContext:
     return _current_context
+
+
+def fresh_timing_context(cpu_scale: float = 1.0) -> TimingContext:
+    """Install a fresh clock+model epoch; returns the new context.
+
+    Experiments call this first so measurements start at t=0 with no
+    charges leaked from module import or previous runs.  The current
+    observers carry over, so an installed tracer or registry sees the
+    epoch change and its epoch guard fires on a stale write.
+    """
+    global _current_context
+    previous = _current_context
+    ctx = TimingContext(model=CostModel(cpu_scale=cpu_scale))
+    ctx.tracer = previous.tracer
+    ctx.registry = previous.registry
+    _current_context = ctx
+    return ctx
+
+
+def check_epoch(bound: Optional[TimingContext], owner: str,
+                unbind: str) -> TimingContext:
+    """The epoch rule shared by every piece of observation state.
+
+    Counter registries, counter handles and latency recorders bind to the
+    context they first record under (``bound`` is ``None`` until then).
+    Recording under any other context would mix measurement epochs, so
+    it raises; ``unbind`` names the method that drops the binding.
+    Returns the context to bind.
+    """
+    ctx = _current_context
+    if bound is None or bound is ctx:
+        return ctx
+    raise SimulationError(
+        f"{owner} is bound to an earlier timing context; data recorded "
+        "across a sim-context reset would mix measurement epochs — call "
+        f"{unbind}() (or use a fresh {owner}) after fresh_timing_context()"
+    )
+
+
+@contextlib.contextmanager
+def observe(tracer=None, registry=None) -> Iterator[TimingContext]:
+    """Attach observers to the current context for the block.
+
+    ``None`` leaves that observer as it is.  On exit the previous
+    observers come back, on the context the block started under and on
+    any context a ``fresh_timing_context()`` inside the block installed.
+    """
+    ctx = _current_context
+    previous = (ctx.tracer, ctx.registry)
+    if tracer is not None:
+        ctx.tracer = tracer
+    if registry is not None:
+        ctx.registry = registry
+    try:
+        yield ctx
+    finally:
+        ctx.tracer, ctx.registry = previous
+        current = _current_context
+        current.tracer, current.registry = previous
 
 
 def charge(op: str, units: float = 1.0) -> float:
@@ -265,9 +326,11 @@ def ledger_scope(ledger: Optional[CostLedger] = None,
 
 @contextlib.contextmanager
 def context_scope(ctx: TimingContext) -> Iterator[TimingContext]:
-    """Temporarily install ``ctx`` as the ambient context."""
-    previous = set_context(ctx)
+    """Temporarily install ``ctx`` (and its observers) as the ambient context."""
+    global _current_context
+    previous = _current_context
+    _current_context = ctx
     try:
         yield ctx
     finally:
-        set_context(previous)
+        _current_context = previous

@@ -73,6 +73,20 @@ from repro.util.errors import TpmError
 Transport = Callable[[bytes], bytes]
 
 
+def pcr_read_wire(index: int) -> bytes:
+    """The TPM_PcrRead frame for PCR ``index``."""
+    return marshal.build_command(
+        TPM_ORD_PcrRead, ByteWriter().u32(index).getvalue()
+    )
+
+
+def extend_wire(index: int, measurement: bytes) -> bytes:
+    """The TPM_Extend frame folding ``measurement`` into PCR ``index``."""
+    return marshal.build_command(
+        TPM_ORD_Extend, ByteWriter().u32(index).raw(measurement).getvalue()
+    )
+
+
 @dataclass
 class ClientSession:
     """Client-side mirror of an auth session."""
@@ -97,7 +111,11 @@ class TpmClient:
 
     def _call(self, ordinal: int, params: bytes) -> bytes:
         """Unauthorized command; returns out-params or raises TpmError."""
-        response = self._send(marshal.build_command(ordinal, params))
+        return self._exchange(ordinal, marshal.build_command(ordinal, params))
+
+    def _exchange(self, ordinal: int, wire: bytes) -> bytes:
+        """Send one built unauthorized frame; out-params or TpmError."""
+        response = self._send(wire)
         parsed = marshal.parse_response(response)
         if parsed.return_code != TPM_SUCCESS:
             raise TpmError(
@@ -233,14 +251,15 @@ class TpmClient:
     # -- PCRs ---------------------------------------------------------------------------
 
     def extend(self, index: int, measurement: bytes) -> bytes:
-        params = ByteWriter().u32(index).raw(measurement).getvalue()
-        out = ByteReader(self._call(TPM_ORD_Extend, params))
+        out = ByteReader(
+            self._exchange(TPM_ORD_Extend, extend_wire(index, measurement))
+        )
         value = out.raw(DIGEST_SIZE)
         out.expect_end()
         return value
 
     def pcr_read(self, index: int) -> bytes:
-        out = ByteReader(self._call(TPM_ORD_PcrRead, ByteWriter().u32(index).getvalue()))
+        out = ByteReader(self._exchange(TPM_ORD_PcrRead, pcr_read_wire(index)))
         value = out.raw(DIGEST_SIZE)
         out.expect_end()
         return value

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from repro.obs import trace as obs_trace
 from repro.obs.trace import NULL_SPAN
+from repro.sim import timing as _timing
 from repro.sim.timing import charge
 from repro.tpm import marshal
 from repro.tpm.constants import (
@@ -114,7 +114,7 @@ class TpmExecutor:
         ``parsed`` and the frame is not re-parsed here.
         """
         charge("tpm.cmd.base")
-        tracer = obs_trace._current_tracer
+        tracer = _timing._current_context.tracer
         if parsed is None:
             span = (
                 NULL_SPAN if tracer is None else tracer.start_span("parse")

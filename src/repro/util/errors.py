@@ -31,6 +31,7 @@ __all__ = [
     "SealingError",
     "FaultInjected",
     "RetryExhausted",
+    "AcceptanceError",
 ]
 
 
@@ -197,3 +198,7 @@ class RetryExhausted(ReproError):
         self.site = site
         self.attempts = attempts
         self.last = last
+
+
+class AcceptanceError(ReproError):
+    """An acceptance demo could not prove one of its claims."""

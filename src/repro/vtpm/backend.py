@@ -22,7 +22,6 @@ import functools
 
 from repro.faults import injector as _injector
 from repro.faults import with_retry
-from repro.obs import trace as obs_trace
 from repro.resilience.breaker import BreakerState
 from repro.resilience.health import HealthState
 from repro.sim import timing as _timing
@@ -103,7 +102,7 @@ class VtpmBackend:
         lockstep.  A fault that outlives the budget degrades into a
         ``TPM_FAIL`` frame, never a dead ring.
         """
-        tracer = obs_trace._current_tracer
+        tracer = _timing._current_context.tracer
         if tracer is None:
             return self._forward_inner(wire)
         with tracer.start_span(
@@ -189,7 +188,7 @@ class VtpmBackend:
         batch-average latency (individual frames are not separately
         clocked inside one notify).
         """
-        tracer = obs_trace._current_tracer
+        tracer = _timing._current_context.tracer
         if tracer is None:
             return self._forward_batch_inner(wires)
         with tracer.start_span(

@@ -7,7 +7,7 @@ exposes a bytes-in/bytes-out callable for :class:`~repro.tpm.TpmClient`.
 
 from __future__ import annotations
 
-from repro.obs import trace as obs_trace
+from repro.sim import timing as _timing
 from repro.util.errors import VtpmError
 from repro.xen.domain import Domain
 from repro.xen.hypervisor import Xen
@@ -51,7 +51,8 @@ class VtpmFrontend:
                 f"vTPM front-end of {self.guest.name} is not connected"
             )
         self.guest.require_running()
-        tracer = obs_trace._current_tracer
+        ctx = _timing._current_context
+        tracer = ctx.tracer
         if tracer is None:
             return self.ring.send_command(wire)
         if tracer._stack or tracer.keep_root():
@@ -61,11 +62,11 @@ class VtpmFrontend:
                 return self.ring.send_command(wire)
         # Sampled-out root: hide the tracer for the whole tree so every
         # nested guarded site takes its free tracer-is-None path.
-        obs_trace._current_tracer = None
+        ctx.tracer = None
         try:
             return self.ring.send_command(wire)
         finally:
-            obs_trace._current_tracer = tracer
+            ctx.tracer = tracer
 
     def transport_batch(self, wires: list) -> list:
         """Send several TPM commands in one ring submission (one kick)."""
@@ -74,7 +75,8 @@ class VtpmFrontend:
                 f"vTPM front-end of {self.guest.name} is not connected"
             )
         self.guest.require_running()
-        tracer = obs_trace._current_tracer
+        ctx = _timing._current_context
+        tracer = ctx.tracer
         if tracer is None:
             return self.ring.send_batch(wires)
         if tracer._stack or tracer.keep_root():
@@ -83,11 +85,11 @@ class VtpmFrontend:
                 {"domid": self.guest.domid, "frames": len(wires)},
             ):
                 return self.ring.send_batch(wires)
-        obs_trace._current_tracer = None
+        ctx.tracer = None
         try:
             return self.ring.send_batch(wires)
         finally:
-            obs_trace._current_tracer = tracer
+            ctx.tracer = tracer
 
     def close(self) -> None:
         self.xen.store.write(self.guest.domid, f"{self.device_path}/state", "6")

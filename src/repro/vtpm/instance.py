@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.crypto.random_source import RandomSource
-from repro.obs import trace as obs_trace
 from repro.sim import timing as _timing
 from repro.sim.timing import get_context
 from repro.tpm import constants as tc
@@ -112,7 +111,7 @@ class VtpmInstance:
         parses every command once); it also lets us skip the state-image
         refresh for ordinals that cannot alter the serialized state.
         """
-        tracer = obs_trace._current_tracer
+        tracer = _timing._current_context.tracer
         if tracer is None:
             response = self.device.execute(wire, locality=locality, parsed=parsed)
         else:

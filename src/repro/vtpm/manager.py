@@ -21,6 +21,7 @@ from repro.faults import with_retry
 from repro.obs import counters as obs_counters
 from repro.obs import trace as obs_trace
 from repro.obs.trace import NULL_SPAN
+from repro.sim import timing as _timing
 from repro.sim.timing import charge
 from repro.tpm import marshal
 from repro.tpm.constants import TPM_AUTHFAIL, TPM_FAIL
@@ -164,7 +165,7 @@ class VtpmManager:
         which is exactly what the monitor's binding check validates.
         """
         charge("vtpm.dispatch")
-        tracer = obs_trace._current_tracer
+        tracer = _timing._current_context.tracer
         if tracer is None:
             return self._dispatch_one(caller_domid, instance_id, wire, locality)
         with tracer.start_span("manager.dispatch", {"instance": instance_id}):
@@ -190,7 +191,7 @@ class VtpmManager:
         charge("vtpm.dispatch")
         _VTPM_BATCHES.inc()
         _VTPM_BATCHED_COMMANDS.add(len(wires))
-        tracer = obs_trace._current_tracer
+        tracer = _timing._current_context.tracer
         # The injector cannot be (un)installed mid-batch — the driver loop
         # is synchronous — so one check covers the whole notify.  Without
         # an injector, _dispatch_one can never raise an injected fault and

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 from repro.faults import FaultKind, fire, note_recovery, note_retry
 from repro.faults import injector as _injector
 from repro.obs import counters as obs_counters
-from repro.obs import trace as obs_trace
+from repro.sim import timing as _timing
 from repro.sim.timing import charge, get_context
 from repro.util.errors import RetryExhausted, RingError
 from repro.xen.memory import PAGE_SIZE, PhysicalMemory
@@ -247,7 +247,7 @@ class TpmRing:
             raise RingError(f"command of {len(command)} bytes exceeds page window")
         if self._backend is None:
             raise RingError("no back-end connected to this vTPM ring")
-        tracer = obs_trace._current_tracer
+        tracer = _timing._current_context.tracer
         if tracer is None:
             return self._send_command(command)
         with tracer.start_span("ring.send", {"bytes": len(command)}):
@@ -286,7 +286,7 @@ class TpmRing:
             return []
         if self._backend is None:
             raise RingError("no back-end connected to this vTPM ring")
-        tracer = obs_trace._current_tracer
+        tracer = _timing._current_context.tracer
         if tracer is None:
             return self._send_batch(commands)
         with tracer.start_span("ring.send_batch", {"frames": len(commands)}):

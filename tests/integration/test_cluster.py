@@ -16,7 +16,7 @@ import pytest
 from repro.cluster import build_fleet, run_cluster_demo
 from repro.crypto.random_source import RandomSource
 from repro.harness.builder import fresh_timing_context
-from repro.harness.chaos import _state_digest
+from repro.harness.acceptance import state_digest as _state_digest
 from repro.tpm import marshal
 from repro.tpm.constants import NUM_PCRS, TPM_ORD_Extend, TPM_ORD_PcrRead
 

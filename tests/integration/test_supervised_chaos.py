@@ -65,7 +65,7 @@ class TestSupervisedChaosAcceptance:
         assert demo["chaotic"].settled
 
     def test_unaffected_guests_digests_identical(self, demo):
-        clean, chaotic = demo["clean"], demo["chaotic"]
+        clean, chaotic = demo["control"], demo["chaotic"]
         assert chaotic.digests["anchor"] == clean.digests["anchor"]
         assert chaotic.digests["bursty"] == clean.digests["bursty"]
         # The victim only read after its checkpoint, so even its restored
@@ -92,7 +92,7 @@ class TestSupervisedChaosAcceptance:
     def test_fault_free_run_sheds_only_overload(self, demo):
         """Without faults, supervision never degrades anyone: the only
         sheds are the bursty guest's own oversized batches."""
-        clean = demo["clean"]
+        clean = demo["control"]
         assert clean.total_faults == 0
         assert not clean.shed_counts.get("victim")
         for record in clean.health.values():

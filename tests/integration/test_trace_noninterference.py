@@ -20,8 +20,7 @@ from repro.obs import (
     InMemorySink,
     Tracer,
     load_jsonl,
-    registry_scope,
-    tracer_scope,
+    observe,
     validate_tree_dict,
 )
 from repro.tpm import marshal
@@ -93,14 +92,8 @@ class TestBatchedNonInterference:
     """The STATUS_BATCH vector path, traced vs untraced, byte for byte."""
 
     def _batched_run(self, tracer=None, registry=None):
-        import contextlib
-
         fresh_timing_context()
-        with contextlib.ExitStack() as stack:
-            if tracer is not None:
-                stack.enter_context(tracer_scope(tracer))
-            if registry is not None:
-                stack.enter_context(registry_scope(registry))
+        with observe(tracer=tracer, registry=registry):
             platform = build_platform(
                 AccessMode.IMPROVED, seed=SEED, name="batch-ni"
             )
@@ -224,7 +217,7 @@ class TestJsonlRoundTrip:
         with out.open("w") as fh:
             sink = JsonlSink(fh)
             tracer = Tracer(sink)
-            with tracer_scope(tracer):
+            with observe(tracer=tracer):
                 platform = build_platform(
                     AccessMode.IMPROVED, seed=7, name="jsonl-ni"
                 )

@@ -196,6 +196,54 @@ class TestCommands:
         for tree in trees:
             validate_tree_dict(tree)
 
+    def test_chaos_supervised_demo_honours_trace(self, capsys, tmp_path):
+        """Regression: the supervised demo used to drop --trace and write
+        an empty file; the chaotic run is now observed and summarized."""
+        from repro.obs import load_jsonl, validate_tree_dict
+
+        out = tmp_path / "sup.jsonl"
+        assert main([
+            "chaos", "--supervised", "--commands", "150",
+            "--trace", str(out), "--trace-sample", "4",
+        ]) == 0
+        stdout = capsys.readouterr().out
+        assert "trace:" in stdout and "counters:" in stdout
+        trees = load_jsonl(out.read_text())
+        assert trees
+        for tree in trees:
+            validate_tree_dict(tree)
+
+    def test_chaos_supervised_explicit_default_length(self, capsys):
+        """Regression: an explicit --commands 1000 used to read as unset
+        and run the supervised default of 600."""
+        assert main(
+            ["chaos", "--supervised", "--single", "--commands", "1000"]
+        ) == 0
+        assert "commands=1000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, text", [
+        (["chaos", "--commands", "5"], "chaos plan only exercised"),
+        (["cluster", "--hosts", "1", "--guests", "2", "--steps", "3"],
+         "the plan never"),
+    ])
+    def test_unprovable_demo_exits_one_naming_the_claim(
+        self, argv, text, capsys
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "acceptance failed:" in err and text in err
+
+    def test_demo_claims_survive_optimized_mode(self):
+        """Claims are not asserts: under ``python -O`` a demo too short
+        to prove them still fails."""
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "repro", "chaos", "--commands", "5"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stdout
+        assert "acceptance failed:" in proc.stderr
+
     def test_verify_small_smoke(self, capsys):
         # --target caps the sweep so the unit test stays fast; the full
         # 500+-schedule acceptance run lives in CI.

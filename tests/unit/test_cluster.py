@@ -23,7 +23,7 @@ from repro.faults import (
     spec,
 )
 from repro.harness.builder import build_platform
-from repro.harness.chaos import _state_digest
+from repro.harness.acceptance import state_digest as _state_digest
 from repro.tpm import marshal
 from repro.tpm.constants import TPM_ORD_Extend, TPM_ORD_PcrRead
 from repro.util.errors import ClusterError, RetryExhausted

@@ -226,8 +226,8 @@ class TestSealedMigration:
         guest = source.add_guest("mover")
         target_vm = _target_vm(destination, guest)
         sink = obs.InMemorySink()
-        with obs.tracer_scope(obs.Tracer(sink)), \
-                obs.registry_scope(obs.CounterRegistry()) as counters:
+        counters = obs.CounterRegistry()
+        with obs.observe(tracer=obs.Tracer(sink), registry=counters):
             offer = destination.migration.prepare_target()
             package = source.migration.export_sealed(guest.domain.uuid, offer)
             destination.migration.import_sealed(package, target_vm)
@@ -245,7 +245,8 @@ class TestSealedMigration:
 
         source, destination = pair_improved
         guest = source.add_guest("mover")
-        with obs.registry_scope(obs.CounterRegistry()) as counters:
+        counters = obs.CounterRegistry()
+        with obs.observe(registry=counters):
             offer = destination.migration.prepare_target()
             txn = source.migration.begin_export_sealed(guest.domain.uuid, offer)
             source.migration.abort_export(txn)

@@ -16,14 +16,11 @@ from repro.obs import (
     InMemorySink,
     JsonlSink,
     Tracer,
-    current_registry,
-    current_tracer,
     format_span_tree,
     load_jsonl,
-    registry_scope,
+    observe,
     span,
     span_event,
-    tracer_scope,
     validate_span_tree,
     validate_tree_dict,
 )
@@ -33,7 +30,7 @@ from repro.util.errors import ReproError
 
 class TestSpans:
     def test_disabled_hook_returns_shared_null_span(self):
-        assert current_tracer() is None
+        assert get_context().tracer is None
         s = span("anything", key="value")
         assert s is NULL_SPAN
         with s as inner:
@@ -43,7 +40,7 @@ class TestSpans:
 
     def test_span_carries_both_timebases(self):
         tracer = Tracer(InMemorySink())
-        with tracer_scope(tracer):
+        with observe(tracer=tracer):
             with span("work") as s:
                 charge("tpm.cmd.base")
         assert s.closed
@@ -52,7 +49,7 @@ class TestSpans:
 
     def test_nesting_follows_the_stack(self):
         tracer = Tracer(InMemorySink())
-        with tracer_scope(tracer):
+        with observe(tracer=tracer):
             with span("root"):
                 with span("child-a"):
                     charge("tpm.cmd.base")
@@ -78,7 +75,7 @@ class TestSpans:
         """A span left open across fresh_timing_context() would report a
         virtual interval mixing two epochs — it must refuse instead."""
         tracer = Tracer(InMemorySink())
-        with tracer_scope(tracer):
+        with observe(tracer=tracer):
             s = tracer.start_span("stale")
             fresh_timing_context()
             with pytest.raises(ReproError, match="timing-context reset"):
@@ -86,7 +83,7 @@ class TestSpans:
 
     def test_validate_rejects_unclosed_and_nonnested(self):
         tracer = Tracer(InMemorySink())
-        with tracer_scope(tracer):
+        with observe(tracer=tracer):
             with span("root") as root:
                 with span("child"):
                     charge("tpm.cmd.base")
@@ -100,7 +97,7 @@ class TestSpans:
 
     def test_find_and_walk(self):
         tracer = Tracer(InMemorySink())
-        with tracer_scope(tracer):
+        with observe(tracer=tracer):
             with span("a"):
                 with span("b"):
                     pass
@@ -115,7 +112,7 @@ class TestCounters:
     def test_disabled_hooks_are_noops(self):
         from repro.obs import counters as obs_counters
 
-        assert current_registry() is None
+        assert get_context().registry is None
         obs_counters.inc("nothing")
         obs_counters.set_gauge("nothing", 1.0)
 
@@ -150,10 +147,10 @@ class TestCounters:
         from repro.obs import counters as obs_counters
 
         reg = CounterRegistry()
-        with registry_scope(reg):
-            assert current_registry() is reg
+        with observe(registry=reg):
+            assert get_context().registry is reg
             obs_counters.inc("seen")
-        assert current_registry() is None
+        assert get_context().registry is None
         assert reg.value("seen") == 1
 
 
@@ -209,7 +206,7 @@ class TestContextBinding:
 class TestSinks:
     def _tree(self):
         tracer = Tracer(InMemorySink())
-        with tracer_scope(tracer):
+        with observe(tracer=tracer):
             with span("root", domid=1):
                 with span("child"):
                     charge("tpm.cmd.base")
@@ -225,7 +222,7 @@ class TestSinks:
     def test_counting_sink_counts_without_retaining(self):
         sink = CountingSink()
         tracer = Tracer(sink)
-        with tracer_scope(tracer):
+        with observe(tracer=tracer):
             with span("root"):
                 with span("child"):
                     pass
@@ -237,7 +234,7 @@ class TestSinks:
         with out.open("w") as fh:
             sink = JsonlSink(fh)
             tracer = Tracer(sink)
-            with tracer_scope(tracer):
+            with observe(tracer=tracer):
                 with span("root"):
                     with span("child"):
                         charge("tpm.cmd.base")
@@ -259,7 +256,7 @@ class TestSinks:
         with out.open("w") as fh:
             sink = JsonlSink(fh)
             tracer = Tracer(sink)
-            with tracer_scope(tracer):
+            with observe(tracer=tracer):
                 with span("root") as root_span:
                     with span("child"):
                         charge("tpm.cmd.base")
@@ -272,7 +269,7 @@ class TestSinks:
         assert validate_tree_dict(tree) == 2
         # wants_wall=True sinks (in-memory, self-time) still capture it.
         tracer = Tracer(InMemorySink())
-        with tracer_scope(tracer):
+        with observe(tracer=tracer):
             with span("root"):
                 pass
         (kept,) = tracer.sink.roots
@@ -292,7 +289,7 @@ class TestSinks:
 
         sink = SelfTimeSink()
         tracer = Tracer(sink)
-        with tracer_scope(tracer):
+        with observe(tracer=tracer):
             for _ in range(3):
                 with span("outer"):
                     with span("inner"):
@@ -316,7 +313,7 @@ class TestSampling:
 
     def _run(self, rate, seed=0, roots=20):
         tracer = Tracer(InMemorySink(), sample_rate=rate, sample_seed=seed)
-        with tracer_scope(tracer):
+        with observe(tracer=tracer):
             for i in range(roots):
                 with span("root", index=i):
                     with span("child"):
@@ -358,13 +355,13 @@ class TestSampling:
         nested guarded site takes its free path; the tracer is reinstalled
         when the skip scope exits."""
         tracer = Tracer(InMemorySink(), sample_rate=2, sample_seed=1)
-        with tracer_scope(tracer):
+        with observe(tracer=tracer):
             with span("skipped"):  # index 0: sampled out
-                assert current_tracer() is None
+                assert get_context().tracer is None
                 assert span("nested") is NULL_SPAN
-            assert current_tracer() is tracer
+            assert get_context().tracer is tracer
             with span("kept"):  # index 1: recorded
-                assert current_tracer() is tracer
+                assert get_context().tracer is tracer
         assert tracer.roots_emitted == 1
         assert tracer.sink.roots[0].name == "kept"
         assert tracer.open_spans == 0
@@ -373,7 +370,7 @@ class TestSampling:
         """Code holding a direct tracer reference (not the ambient slot)
         still gets a no-op span while a root is suppressed."""
         tracer = Tracer(InMemorySink(), sample_rate=2, sample_seed=1)
-        with tracer_scope(tracer):
+        with observe(tracer=tracer):
             with tracer.start_span("skipped"):
                 assert tracer.start_span("direct") is NULL_SPAN
         assert tracer.roots_emitted == 0
@@ -385,7 +382,7 @@ class TestSampling:
         handle = obs_counters.counter("sampling.events")
         tracer = Tracer(InMemorySink(), sample_rate=8)
         reg = CounterRegistry()
-        with tracer_scope(tracer), registry_scope(reg):
+        with observe(tracer=tracer, registry=reg):
             for i in range(32):
                 with span("root", index=i):
                     handle.inc()
@@ -400,7 +397,7 @@ class TestSpanPooling:
 
     def test_pool_reuses_span_objects(self):
         tracer = Tracer(CountingSink())
-        with tracer_scope(tracer):
+        with observe(tracer=tracer):
             with span("root"):
                 with span("child"):
                     pass
@@ -415,7 +412,7 @@ class TestSpanPooling:
 
     def test_retaining_sink_never_recycles(self):
         tracer = Tracer(InMemorySink())
-        with tracer_scope(tracer):
+        with observe(tracer=tracer):
             with span("root"):
                 pass
         assert tracer._pool == []
@@ -425,7 +422,7 @@ class TestSpanPooling:
         from repro.obs import trace as obs_trace
 
         tracer = Tracer(CountingSink())
-        with tracer_scope(tracer):
+        with observe(tracer=tracer):
             for _ in range(3):
                 root = tracer.start_span("wide")
                 for _ in range(600):
@@ -443,7 +440,7 @@ class TestCounterHandles:
 
         handle = obs_counters.counter("handles.shared", cls="x")
         reg = CounterRegistry()
-        with registry_scope(reg):
+        with observe(registry=reg):
             handle.inc()
             reg.inc("handles.shared", cls="x")
             handle.add(3)
@@ -452,7 +449,7 @@ class TestCounterHandles:
     def test_handle_is_a_noop_without_a_registry(self):
         from repro.obs import counters as obs_counters
 
-        assert current_registry() is None
+        assert get_context().registry is None
         obs_counters.counter("handles.off").inc()  # must not raise
 
     def test_handle_follows_registry_swap(self):
@@ -460,9 +457,9 @@ class TestCounterHandles:
 
         handle = obs_counters.counter("handles.swap")
         first, second = CounterRegistry(), CounterRegistry()
-        with registry_scope(first):
+        with observe(registry=first):
             handle.inc()
-        with registry_scope(second):
+        with observe(registry=second):
             handle.inc(2)
         assert first.value("handles.swap") == 1
         assert second.value("handles.swap") == 2
@@ -472,7 +469,7 @@ class TestCounterHandles:
 
         handle = obs_counters.counter("handles.reset")
         reg = CounterRegistry()
-        with registry_scope(reg):
+        with observe(registry=reg):
             handle.inc()
             stale_cell = handle._cell
             fresh_timing_context()
@@ -486,7 +483,7 @@ class TestCounterHandles:
 
         handle = obs_counters.counter("handles.epoch")
         reg = CounterRegistry()
-        with registry_scope(reg):
+        with observe(registry=reg):
             handle.inc()
             fresh_timing_context()
             with pytest.raises(ReproError, match="earlier timing context"):
@@ -496,7 +493,7 @@ class TestCounterHandles:
         from repro.obs import counters as obs_counters
 
         handle = obs_counters.counter("handles.negative")
-        with registry_scope(CounterRegistry()):
+        with observe(registry=CounterRegistry()):
             with pytest.raises(ReproError, match="cannot decrease"):
                 handle.inc(-1)
 
@@ -509,7 +506,7 @@ class TestExpositionDeterminism:
         from repro.obs import counters as obs_counters
 
         def fill(reg, order):
-            with registry_scope(reg):
+            with observe(registry=reg):
                 for step in order:
                     step()
         h_ring = obs_counters.counter("ring.kicks")

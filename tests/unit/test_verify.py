@@ -371,11 +371,13 @@ class TestConformanceOracle:
         from repro.core.config import AccessMode
         from repro.core.policy import CommandClass
         from repro.harness.builder import build_platform, fresh_timing_context
-        from repro.verify.explorer import _extend_wire, _pcr_read_wire
+        from repro.tpm.client import extend_wire, pcr_read_wire
+        from repro.verify.explorer import _measurement_for
         from repro.verify.oracle import attach_oracle, settle_oracles
 
         def extend(index):
-            return _extend_wire(Step(0, "extend", index))
+            step = Step(0, "extend", index)
+            return extend_wire(index, _measurement_for(step))
 
         ctx = fresh_timing_context()
         platform = build_platform(AccessMode.IMPROVED, seed=13, name="oracle-ni")
@@ -384,16 +386,16 @@ class TestConformanceOracle:
         oracle = attach_oracle(platform) if with_oracle else None
         send = guest.frontend.transport
         responses = [
-            send(_pcr_read_wire(1)), send(extend(2)), send(_pcr_read_wire(1))
+            send(pcr_read_wire(1)), send(extend(2)), send(pcr_read_wire(1))
         ]
         subject = guest.domain.measurement.hex()
         for rule in platform.policy.rules_for_subject(subject):
             if rule.command_class is CommandClass.MEASURE:
                 platform.policy.revoke_rule(rule.rule_id)
-        responses.append(send(_pcr_read_wire(3)))  # miss after revocation
+        responses.append(send(pcr_read_wire(3)))  # miss after revocation
         responses.append(send(extend(4)))  # planned denial
         responses.append(platform.manager.handle_command(
-            guest.domain.domid, other.instance_id, _pcr_read_wire(1)
+            guest.domain.domid, other.instance_id, pcr_read_wire(1)
         ))  # cross-instance binding denial
         checks = settle_oracles([oracle])
         assert checks == (len(responses) if with_oracle else 0)
