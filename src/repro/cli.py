@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from typing import Callable, Dict, Sequence
 
@@ -660,6 +661,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    """argparse type for rates and durations: a finite number above 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above 0, got {text}"
+        )
+    return value
+
+
 def non_negative_int(text: str) -> int:
     """argparse type for counts where 0 means none/off."""
     value = int(text)
@@ -766,9 +777,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--count", type=positive_int, default=2,
                          help="repetitions of the live workload (default 2)")
     p_trace.add_argument("--guests", type=positive_int, default=4)
-    p_trace.add_argument("--rate", type=float, default=100.0,
+    p_trace.add_argument("--rate", type=positive_float, default=100.0,
                          help="commands per guest per second")
-    p_trace.add_argument("--duration", type=float, default=1.0,
+    p_trace.add_argument("--duration", type=positive_float, default=1.0,
                          help="seconds of trace")
     p_trace.add_argument("--mix", default="mixed",
                          choices=["measurement-heavy", "sealed-storage",

@@ -1,7 +1,9 @@
 """Crypto substrate for the TPM emulator and the access-control layer.
 
 Everything is implemented on the Python standard library (``hashlib``) plus
-a pure-Python RSA — no external crypto dependency.  All primitives charge
+an RSA written in Python whose modular exponentiation runs on the libcrypto
+``hashlib`` already links (builtin ``pow`` when it does not resolve, with
+bit-identical results) — no external crypto dependency.  All primitives charge
 their cost to the ambient :mod:`repro.sim.timing` context, so virtual-time
 results reflect crypto work without depending on host speed.
 

@@ -98,8 +98,8 @@ class RandomSource:
         """Exponential inter-arrival sample with the given rate (per us)."""
         import math
 
-        if rate <= 0:
-            raise CryptoError(f"rate must be positive, got {rate}")
+        if not (math.isfinite(rate) and rate > 0):
+            raise CryptoError(f"rate must be finite and positive, got {rate}")
         u = self.uniform(0.0, 1.0)
         # Guard the log: u == 0 has probability ~2^-56 but be safe anyway.
         u = max(u, 1e-18)

@@ -1,4 +1,4 @@
-"""Pure-Python RSA with PKCS#1 v1.5 signing and encryption.
+"""RSA with PKCS#1 v1.5 signing and encryption.
 
 The TPM 1.2 key hierarchy (EK, SRK, AIKs, storage and signing keys) is RSA.
 This module provides key generation, CRT-accelerated private operations,
@@ -12,6 +12,14 @@ for its Miller-Rabin rounds is ever discarded for a short modulus.  Each
 candidate is trial-divided by every prime below 2048 with one ``math.gcd``
 against their product, then must pass 24 random-base Miller-Rabin rounds.
 
+All RSA logic stays in Python.  Only modular exponentiation — the
+Miller-Rabin round, the CRT halves of a private operation and the public
+operation — runs in :func:`_modexp`, on OpenSSL's ``BN_mod_exp`` from the
+libcrypto that CPython's ``_hashlib`` already links, with builtin ``pow``
+as the fallback when those symbols do not resolve.  Both paths give
+bit-identical results, so the backend changes host time only: every key,
+signature, ciphertext and virtual-time charge is the same.
+
 Virtual-time cost is charged by the key's *declared* size class, so
 experiments can simulate 2048-bit timing even when tests run small keys for
 host speed.
@@ -19,6 +27,8 @@ host speed.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +51,82 @@ _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 PUBLIC_EXPONENT = 65537
 
+# (name, restype, argtypes) of every libcrypto function _modexp calls.
+# BIGNUM* and BN_CTX* stay opaque void pointers.
+_BN_FUNCTIONS = (
+    ("BN_CTX_new", ctypes.c_void_p, ()),
+    ("BN_CTX_free", None, (ctypes.c_void_p,)),
+    ("BN_new", ctypes.c_void_p, ()),
+    ("BN_clear_free", None, (ctypes.c_void_p,)),
+    ("BN_bin2bn", ctypes.c_void_p, (ctypes.c_char_p, ctypes.c_int, ctypes.c_void_p)),
+    ("BN_bn2binpad", ctypes.c_int, (ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int)),
+    ("BN_mod_exp", ctypes.c_int, (ctypes.c_void_p,) * 5),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _libcrypto():
+    """OpenSSL's bignum functions, or None when they do not resolve.
+
+    Opens the ``_hashlib`` extension CPython already loaded; symbol lookup
+    through its handle reaches the libcrypto it links, so no library search
+    runs.  Resolved once, on the first :func:`_modexp` call.
+    """
+    try:
+        import _hashlib
+
+        lib = ctypes.CDLL(_hashlib.__file__)
+        for name, restype, argtypes in _BN_FUNCTIONS:
+            func = getattr(lib, name)
+            func.restype = restype
+            func.argtypes = argtypes
+    except (ImportError, OSError, AttributeError):
+        return None
+    return lib
+
+
+def _bn_from_int(lib, value: int):
+    """A new ``BIGNUM`` holding ``value``; None when allocation fails."""
+    size = (value.bit_length() + 7) // 8
+    return lib.BN_bin2bn(value.to_bytes(size, "big"), size, None)
+
+
+def _modexp(base: int, exp: int, mod: int) -> int:
+    """``pow(base, exp, mod)`` for ``base, exp >= 0`` and ``mod >= 1``.
+
+    Runs on libcrypto's ``BN_mod_exp`` when it resolved, else on builtin
+    ``pow``; the result is the same integer either way.  Every ``BN_CTX``
+    and ``BIGNUM`` is allocated per call and cleared on free, because the
+    operands include CRT private exponents and primes.
+    """
+    if base < 0 or exp < 0:
+        raise CryptoError("modular exponentiation needs non-negative operands")
+    if mod < 1:
+        raise CryptoError("modular exponentiation needs a modulus of at least 1")
+    lib = _libcrypto()
+    if lib is None:
+        return pow(base, exp, mod)
+    ctx = result = a = p = m = None
+    try:
+        ctx = lib.BN_CTX_new()
+        result = lib.BN_new()
+        a = _bn_from_int(lib, base)
+        p = _bn_from_int(lib, exp)
+        m = _bn_from_int(lib, mod)
+        if not (ctx and result and a and p and m):
+            raise CryptoError("libcrypto bignum allocation failed")
+        if not lib.BN_mod_exp(result, a, p, m, ctx):
+            raise CryptoError("libcrypto BN_mod_exp failed")
+        size = (mod.bit_length() + 7) // 8
+        out = ctypes.create_string_buffer(size)
+        if lib.BN_bn2binpad(result, out, size) != size:
+            raise CryptoError("libcrypto BN_bn2binpad failed")
+        return int.from_bytes(out.raw, "big")
+    finally:
+        for bn in (result, a, p, m):
+            lib.BN_clear_free(bn)
+        lib.BN_CTX_free(ctx)
+
 
 def _is_probable_prime(n: int, rng: RandomSource, rounds: int = 24) -> bool:
     """Trial division, then Miller-Rabin with ``rounds`` random bases."""
@@ -54,7 +140,7 @@ def _is_probable_prime(n: int, rng: RandomSource, rounds: int = 24) -> bool:
         r += 1
     for _ in range(rounds):
         a = 2 + rng.randint_below(n - 3)
-        x = pow(a, d, n)
+        x = _modexp(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):
@@ -111,7 +197,7 @@ class RsaPublicKey:
     def _encrypt_int(self, m: int) -> int:
         if not 0 <= m < self.n:
             raise CryptoError("plaintext representative out of range")
-        return pow(m, self.e, self.n)
+        return _modexp(m, self.e, self.n)
 
     # -- PKCS#1 v1.5 --------------------------------------------------------
 
@@ -125,7 +211,7 @@ class RsaPublicKey:
         s = int.from_bytes(signature, "big")
         if s >= self.n:
             return False
-        em = pow(s, self.e, self.n).to_bytes(self.byte_length, "big")
+        em = _modexp(s, self.e, self.n).to_bytes(self.byte_length, "big")
         expected = _emsa_pkcs1_v15(digest, self.byte_length)
         return em == expected
 
@@ -181,8 +267,8 @@ class RsaKeyPair:
         if not 0 <= c < self.public.n:
             raise CryptoError("ciphertext representative out of range")
         dp, dq, qinv = self._crt_params()
-        m1 = pow(c, dp, self.p)
-        m2 = pow(c, dq, self.q)
+        m1 = _modexp(c, dp, self.p)
+        m2 = _modexp(c, dq, self.q)
         h = (qinv * (m1 - m2)) % self.p
         return m2 + h * self.q
 

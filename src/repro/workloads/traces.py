@@ -8,6 +8,7 @@ simple text format so runs can be archived and replayed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List
 
@@ -50,8 +51,10 @@ class SyntheticTrace:
         """Poisson arrivals per guest, merged and time-sorted."""
         if guests <= 0:
             raise ReproError(f"need at least one guest, got {guests}")
-        if rate_per_guest_per_sec <= 0 or duration_s <= 0:
-            raise ReproError("rate and duration must be positive")
+        if not all(
+            math.isfinite(v) and v > 0 for v in (rate_per_guest_per_sec, duration_s)
+        ):
+            raise ReproError("rate and duration must be finite and positive")
         rate_us = rate_per_guest_per_sec / 1e6
         duration_us = duration_s * 1e6
         entries: List[TraceEntry] = []

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.kdf import derive_key
 from repro.crypto.random_source import RandomSource
-from repro.crypto.rsa import generate_keypair
+from repro.crypto.rsa import _modexp, generate_keypair
 from repro.crypto.symmetric import SymmetricKey
 from repro.util.errors import CryptoError
 
@@ -31,6 +31,34 @@ def test_rsa_signature_binds_digest(d1, d2):
 def test_rsa_encrypt_decrypt_total(plaintext, seed):
     rng = RandomSource(seed)
     assert KEYPAIR.decrypt(KEYPAIR.public.encrypt(plaintext, rng)) == plaintext
+
+
+_P256 = 2**256 - 189  # prime
+_M2048 = 2**2047 + 2**1024 + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**2048 - 1),
+    st.integers(0, 2**2048 - 1),
+    st.integers(1, 2**2048 - 1),
+)
+@example(2**512 - 3, 2**200 + 7, _P256)  # base >= mod, as in the CRT halves
+@example(12345, 0, _P256)  # exponent 0
+@example(0, 65537, _P256)  # base 0
+@example(0, 0, _P256)
+@example(7, 0, 1)  # mod 1: everything is 0, even x**0
+@example(2**300 + 5, 2**100 + 1, 2**256)  # even modulus
+@example(3**1000, 2**2048 - 1, _M2048)  # 2048-bit modulus
+def test_modexp_matches_builtin_pow(base, exp, mod):
+    assert _modexp(base, exp, mod) == pow(base, exp, mod)
+
+
+@given(st.integers(max_value=-1), st.integers(0, 2**64), st.integers(1, 2**64))
+def test_modexp_rejects_negative_operands_and_small_modulus(negative, other, mod):
+    for args in ((negative, other, mod), (other, negative, mod), (other, other, 1 + negative)):
+        with pytest.raises(CryptoError):
+            _modexp(*args)
 
 
 @given(st.binary(max_size=2048), st.integers(0, 2**32 - 1))

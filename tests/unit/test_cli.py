@@ -108,6 +108,24 @@ class TestParser:
         assert "usage:" in err
         assert "integer" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--rate", "nan"],
+        ["trace", "--rate", "inf"],
+        ["trace", "--duration", "inf"],
+        ["trace", "--rate", "0"],
+        ["trace", "--rate", "-1"],
+        ["trace", "--duration", "0"],
+    ])
+    def test_non_finite_or_non_positive_trace_floats_are_usage_errors(
+        self, argv, capsys
+    ):
+        # Before the parse-time check these hung (NaN/inf never reach the
+        # duration) or ended in a ReproError traceback.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "finite number above 0" in capsys.readouterr().err
+
     def test_zero_top_still_means_off(self):
         assert build_parser().parse_args(["profile", "--top", "0"]).top == 0
 

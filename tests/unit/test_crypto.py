@@ -1,5 +1,8 @@
 """Unit tests for the crypto substrate."""
 
+import ctypes
+import types
+
 import pytest
 
 from repro.crypto.hashes import sha1, sha256
@@ -89,6 +92,11 @@ class TestRandomSource:
         assert all(s > 0 for s in samples)
         # Mean should be in the ballpark of 1/rate = 1000.
         assert 300 < sum(samples) / len(samples) < 3000
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+    def test_expovariate_rejects_non_finite_or_non_positive_rate(self, rate):
+        with pytest.raises(CryptoError):
+            RandomSource(5).expovariate(rate)
 
     def test_shuffle_permutation(self):
         rng = RandomSource(6)
@@ -224,6 +232,65 @@ class TestRsa:
     )
     def test_probable_prime_known_values(self, n, expected):
         assert rsa._is_probable_prime(n, RandomSource(b"mr")) is expected
+
+
+class TestModexpBackend:
+    @staticmethod
+    def _rsa_outputs():
+        key = generate_keypair(512, RandomSource(b"backend"))
+        digest = sha1(b"backend")
+        signature = key.sign_sha1(digest)
+        ciphertext = key.public.encrypt(b"payload", RandomSource(b"enc"))
+        return (
+            key.serialize_private(),
+            signature,
+            ciphertext,
+            key.decrypt(ciphertext),
+            key.public.verify_sha1(digest, signature),
+            key.public.verify_sha1(sha1(b"other"), signature),
+        )
+
+    def test_builtin_fallback_is_bit_identical(self, monkeypatch):
+        resolved = self._rsa_outputs()
+        monkeypatch.setattr(rsa, "_libcrypto", lambda: None)
+        assert self._rsa_outputs() == resolved
+
+    def test_kernel_resolves_when_hashlib_exports_bn_mod_exp(self):
+        _hashlib = pytest.importorskip("_hashlib")
+        try:
+            ctypes.CDLL(_hashlib.__file__).BN_mod_exp
+        except (AttributeError, OSError):
+            pytest.skip("_hashlib does not export BN_mod_exp")
+        assert rsa._libcrypto() is not None
+
+    @pytest.mark.parametrize("broken", ["BN_new", "BN_mod_exp"])
+    def test_native_failure_raises_and_frees_everything(self, broken, monkeypatch):
+        lib = rsa._libcrypto()
+        if lib is None:
+            pytest.skip("libcrypto bignum functions did not resolve")
+        freed = []
+
+        def recording(free):
+            def wrapper(ptr):
+                freed.append(ptr)
+                free(ptr)
+            return wrapper
+
+        fake = types.SimpleNamespace(
+            **{name: getattr(lib, name) for name, _, _ in rsa._BN_FUNCTIONS}
+        )
+        fake.BN_clear_free = recording(lib.BN_clear_free)
+        fake.BN_CTX_free = recording(lib.BN_CTX_free)
+        failure = 0 if broken == "BN_mod_exp" else None  # 0 = error, None = NULL
+        setattr(fake, broken, lambda *args: failure)
+        monkeypatch.setattr(rsa, "_libcrypto", lambda: fake)
+        secret = 2**255 + 12345678987654321
+        with pytest.raises(CryptoError) as exc:
+            rsa._modexp(3, secret, 2**256 - 189)
+        assert str(secret) not in str(exc.value)
+        live = [ptr for ptr in freed if ptr]
+        assert len(live) == (4 if broken == "BN_new" else 5)  # ctx + BIGNUMs
+        assert len(set(live)) == len(live)
 
 
 class TestSymmetric:

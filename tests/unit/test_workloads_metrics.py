@@ -108,6 +108,18 @@ class TestSyntheticTrace:
         with pytest.raises(ReproError):
             SyntheticTrace.poisson(RandomSource(7), 1, 0, 1, MIX_MIXED)
 
+    @pytest.mark.parametrize("rate, duration", [
+        (float("nan"), 1),
+        (float("inf"), 1),
+        (10, float("nan")),
+        (10, float("inf")),
+    ])
+    def test_non_finite_parameters_rejected(self, rate, duration):
+        # A NaN or infinite rate/duration never reaches the end of the
+        # trace: generation must refuse it rather than grow forever.
+        with pytest.raises(ReproError):
+            SyntheticTrace.poisson(RandomSource(7), 1, rate, duration, MIX_MIXED)
+
     def test_loads_rejects_garbage(self):
         with pytest.raises(ReproError):
             SyntheticTrace.loads("no header here")
