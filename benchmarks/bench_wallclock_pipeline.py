@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -56,24 +57,25 @@ TRACE_SAMPLE_RATE = 32
 
 
 def run_profiles(commands: int = 3_000, batch_sizes=(1, 16),
-                 repeats: int = 24) -> dict:
+                 repeats: int = 16) -> dict:
     """Measure the pipeline at each batch size; returns the JSON payload.
 
-    Alongside the bare batch-size runs, one unbatched variant runs with a
-    span tracer installed (counting sink, no retention) at the default
-    head-sampling rate — the configuration ``--trace-sample 16`` uses —
-    one at rate 1 for the full-recording cost, and one under the
-    resilience supervisor.
+    The bare run is unbatched (``batch_sizes[0]``).  Beside it run the
+    other batch sizes, one unbatched variant with a span tracer installed
+    (counting sink, no retention) at the default head-sampling rate, one
+    at rate 1 for the full-recording cost, and one under the resilience
+    supervisor.
 
-    Measurement follows the ``timeit`` doctrine scaled to hosts whose
-    clock speed drifts (frequency scaling, noisy neighbours, pvclock):
-    each variant is timed in many **short slices** (``commands`` each),
-    the variant order **rotates** every round (so no variant always runs
-    in the thermal shadow of the longest one), and each variant reports
-    its **second-smallest** slice time — every variant gets ``repeats``
-    chances to catch the host's fast phase, a single turbo-burst outlier
-    cannot skew the ratios, and a genuine code regression slows every
-    slice, so the estimate still gates it.
+    Every variant is measured in **pairs** of short slices (``commands``
+    each): in each of ``repeats`` rounds, every variant's slice runs back
+    to back with a bare slice, bare first in even rounds and second in odd
+    ones, and the variant order rotates from round to round.  Each pair
+    gives one throughput ratio taken within one host phase (frequency
+    scaling, noisy neighbours, pvclock drift move both slices alike), and
+    a variant's overhead is the **median** of its per-round ratios.  The
+    absolute throughputs (the bare floor gates, the ``runs`` rows) stay
+    the ``timeit`` estimate: the second-fastest slice, so one turbo-burst
+    outlier cannot set them while a genuine regression slows every slice.
     """
     from repro.harness.profiling import profile_pipeline
     from repro.obs import CountingSink, Tracer
@@ -81,51 +83,63 @@ def run_profiles(commands: int = 3_000, batch_sizes=(1, 16),
     def measure(variant):
         kind = variant[0]
         if kind == "batch":
-            return profile_pipeline(commands=commands, batch_size=variant[1])
-        if kind == "traced":
-            return profile_pipeline(
+            profile = profile_pipeline(
+                commands=commands, batch_size=variant[1]
+            )
+        elif kind == "traced":
+            profile = profile_pipeline(
                 commands=commands, batch_size=1,
                 tracer=Tracer(CountingSink(), sample_rate=TRACE_SAMPLE_RATE),
             )
-        if kind == "traced_full":
-            return profile_pipeline(
+        elif kind == "traced_full":
+            profile = profile_pipeline(
                 commands=commands, batch_size=1, tracer=Tracer(CountingSink())
             )
-        # Supervision (health record, breaker and admission hooks on every
-        # frame) must cost wall time only, never virtual time.
-        return profile_pipeline(
-            commands=commands, batch_size=1, supervised=True
-        )
+        else:
+            # Supervision (health record, breaker and admission hooks on
+            # every frame) must cost wall time only, never virtual time.
+            profile = profile_pipeline(
+                commands=commands, batch_size=1, supervised=True
+            )
+        if profile.chain_ok is False:
+            raise AssertionError("audit chain broke during the benchmark")
+        return profile
 
-    variants = [("batch", b) for b in batch_sizes]
-    variants += [("traced",), ("traced_full",), ("supervised",)]
-    fastest = {variant: [] for variant in variants}  # two smallest walls
+    bare = ("batch", batch_sizes[0])
+    paired = [("batch", b) for b in batch_sizes[1:]]
+    paired += [("traced",), ("traced_full",), ("supervised",)]
+    slices = {variant: [] for variant in [bare] + paired}
+    ratios = {variant: [] for variant in paired}
     for round_no in range(max(1, repeats)):
-        shift = round_no % len(variants)
-        for variant in variants[shift:] + variants[:shift]:
-            profile = measure(variant)
-            if profile.chain_ok is False:
-                raise AssertionError("audit chain broke during the benchmark")
-            pair = fastest[variant]
-            pair.append(profile)
-            pair.sort(key=lambda p: p.wall_seconds)
-            del pair[2:]
+        shift = round_no % len(paired)
+        for variant in paired[shift:] + paired[:shift]:
+            order = (bare, variant) if round_no % 2 == 0 else (variant, bare)
+            pair = {v: measure(v) for v in order}
+            for v, profile in pair.items():
+                slices[v].append(profile)
+            ratios[variant].append(
+                pair[variant].ops_per_sec / pair[bare].ops_per_sec
+            )
 
-    # Second-smallest slice per variant (the smallest where only one
-    # round ran).
-    best = {variant: pair[-1] for variant, pair in fastest.items()}
+    def second_fastest(variant):
+        ranked = sorted(slices[variant], key=lambda p: p.wall_seconds)
+        return ranked[min(1, len(ranked) - 1)]
+
+    runs = [second_fastest(("batch", b)).as_dict() for b in batch_sizes]
+    unbatched = runs[0]["ops_per_sec"]
+    ratio = {v: statistics.median(r) for v, r in ratios.items()}
 
     def overhead_pct(variant):
-        ratio = best[variant].ops_per_sec / best[("batch", 1)].ops_per_sec
-        return round(100.0 * (1.0 - ratio), 1)
+        return round(100.0 * (1.0 - ratio[variant]), 1)
 
-    runs = [best[("batch", b)].as_dict() for b in batch_sizes]
-    unbatched = runs[0]["ops_per_sec"]
+    def paired_ops(variant):
+        return round(unbatched * ratio[variant], 1)
 
     return {
         "workload": (
-            f"{commands} PCRRead frames per slice x {repeats} interleaved "
-            "slices (min gates), improved mode, full stack"
+            f"{commands} PCRRead frames per slice, {repeats} rounds of "
+            "back-to-back bare/variant slice pairs (median paired ratio "
+            "gates overheads), improved mode, full stack"
         ),
         "pre_overhaul_ops_per_sec": PRE_OVERHAUL_OPS_PER_SEC,
         "ops_per_sec": unbatched,
@@ -133,13 +147,11 @@ def run_profiles(commands: int = 3_000, batch_sizes=(1, 16),
             unbatched / PRE_OVERHAUL_OPS_PER_SEC, 2
         ),
         "trace_sample_rate": TRACE_SAMPLE_RATE,
-        "traced_ops_per_sec": round(best[("traced",)].ops_per_sec, 1),
+        "traced_ops_per_sec": paired_ops(("traced",)),
         "trace_overhead_pct": overhead_pct(("traced",)),
-        "traced_full_ops_per_sec": round(
-            best[("traced_full",)].ops_per_sec, 1
-        ),
+        "traced_full_ops_per_sec": paired_ops(("traced_full",)),
         "trace_full_overhead_pct": overhead_pct(("traced_full",)),
-        "supervised_ops_per_sec": round(best[("supervised",)].ops_per_sec, 1),
+        "supervised_ops_per_sec": paired_ops(("supervised",)),
         "supervised_overhead_pct": overhead_pct(("supervised",)),
         "runs": runs,
     }
@@ -150,7 +162,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--commands", type=int, default=3_000,
         help="commands per timed slice (each variant is timed in many "
-             "short interleaved slices; the minimum slice gates)",
+             "short slices, each paired with a bare slice)",
     )
     parser.add_argument(
         "--check", action="store_true",

@@ -7,8 +7,8 @@ the one everybody reads, and nothing fails.  This rule catches the typo
 statically: every string literal passed as the metric name to
 ``counter(…)`` / ``inc(…)`` / ``set_gauge(…)`` must parse as a dotted
 lowercase name whose first segment is a **declared counter namespace**,
-and every span name handed to ``start_span(…)`` / ``span(…)`` must use
-a **declared span root**.
+and every span name handed to ``start_span(…)`` / ``span(…)`` /
+``traced(…)`` must use a **declared span root**.
 
 The declared sets below are the single registry; adding a genuinely new
 subsystem namespace is a deliberate one-line change here, reviewed like
@@ -50,8 +50,9 @@ SPAN_ROOTS = frozenset(
 
 #: calls whose first string argument is a counter/gauge name
 COUNTER_CALLS = frozenset({"counter", "inc", "set_gauge"})
-#: calls whose first string argument is a span name
-SPAN_CALLS = frozenset({"start_span", "span"})
+#: calls whose first string argument is a span name (``traced`` is the
+#: per-layer hook decorator)
+SPAN_CALLS = frozenset({"start_span", "span", "traced"})
 
 NAME_GRAMMAR = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
 
@@ -95,9 +96,9 @@ class CounterRegistryRule(Rule):
         "Every counter(…)/inc(…)/set_gauge(…) name literal must be a "
         "dotted lowercase name rooted in "
         + "/".join(sorted(COUNTER_NAMESPACES))
-        + "; every start_span(…)/span(…) name must use a declared span "
-        "root — typo'd metric names are caught before they fork a "
-        "series nobody reads."
+        + "; every start_span(…)/span(…)/traced(…) name must use a "
+        "declared span root — typo'd metric names are caught before they "
+        "fork a series nobody reads."
     )
     example_violation = (
         "repro/vtpm/_injected_counter_registry.py",

@@ -7,10 +7,11 @@ auth / tpm proof of :class:`repro.tpm.state.TpmState`,
 ``secret_material()`` results, the sealed root blob, and any function
 parameter whose name marks it as an auth secret.  **Sinks** are the
 places an operator (or a JSONL artifact reader) can see: logger calls,
-``print``, span attributes (``span.set`` / ``start_span`` attr dicts /
-``add_event``), ``json.dump(s)``, and exception messages (``raise X(…)``
-— exception text lands in audit reasons, degraded-path responses and
-tracebacks).
+``print``, span attributes (``span.set`` / ``span_attr`` /
+``start_span`` attr dicts / ``add_event`` / the ``attrs`` lambda of a
+``traced(…)`` hook), ``json.dump(s)``, and exception messages
+(``raise X(…)`` — exception text lands in audit reasons, degraded-path
+responses and tracebacks).
 
 Propagation is deliberately shallow: a name assigned from an expression
 *containing* a tainted name/attribute becomes tainted, and taint follows
@@ -55,6 +56,9 @@ LOG_METHODS = frozenset(
 )
 LOG_RECEIVERS = frozenset({"log", "logger", "_log", "_logger", "LOG"})
 SPAN_RECEIVERS = frozenset({"span", "_span", "root"})
+#: free functions (or module attributes) whose arguments become span
+#: attributes
+SPAN_FUNCTIONS = frozenset({"span", "start_span", "span_attr"})
 
 
 def param_is_secret(name: str) -> bool:
@@ -159,7 +163,7 @@ def _sink_kind(node: ast.Call) -> str | None:
     if isinstance(func, ast.Name):
         if func.id == "print":
             return "print"
-        if func.id in ("span", "start_span"):
+        if func.id in SPAN_FUNCTIONS:
             return "span attribute"
         return None
     if isinstance(func, ast.Attribute):
@@ -170,11 +174,21 @@ def _sink_kind(node: ast.Call) -> str | None:
         if func.attr in ("set", "set_attribute") \
                 and recv_name in SPAN_RECEIVERS:
             return "span attribute"
-        if func.attr in ("start_span", "span", "add_event"):
+        if func.attr in SPAN_FUNCTIONS or func.attr == "add_event":
             return "span attribute"
         if func.attr in ("dump", "dumps") and recv_name == "json":
             return "JSON"
     return None
+
+
+def _traced_attrs_lambda(node: ast.Call) -> ast.Lambda | None:
+    """The ``attrs`` lambda of a ``traced(name, attrs)`` hook, if any."""
+    if getattr(node.func, "id", getattr(node.func, "attr", None)) != "traced":
+        return None
+    attrs = node.args[1:2] + [
+        kw.value for kw in node.keywords if kw.arg == "attrs"
+    ]
+    return attrs[0] if attrs and isinstance(attrs[0], ast.Lambda) else None
 
 
 @register
@@ -198,6 +212,17 @@ class SecretFlowRule(Rule):
         if not module.relpath.startswith("repro/"):
             return []
         findings: List[Finding] = []
+        for node in ast.walk(module.tree):
+            # A traced hook's attrs lambda turns its parameters (the
+            # decorated call's arguments) into span attributes.
+            attrs = isinstance(node, ast.Call) and _traced_attrs_lambda(node)
+            why = attrs and _FunctionTaint(attrs).expr_source(attrs.body)
+            if why:
+                findings.append(self.finding(
+                    module, node.lineno,
+                    f"{why} flows into a span attribute sink in a "
+                    "traced(…) attrs lambda",
+                ))
         for fn in ast.walk(module.tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue

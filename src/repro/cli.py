@@ -901,6 +901,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "conformance", False) and not args.single:
         # Without --single the full demo runs and no oracle is attached.
         parser.error(f"{args.command}: --conformance requires --single")
+    if args.command == "trace" and args.workload is None:
+        from repro.util.errors import ReproError
+        from repro.workloads.traces import check_trace_size
+
+        try:
+            check_trace_size(args.guests, args.rate, args.duration)
+        except ReproError as exc:
+            parser.error(f"trace: {exc}")
     try:
         return args.fn(args)
     except AcceptanceError as exc:

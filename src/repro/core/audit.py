@@ -19,6 +19,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import List
 
+from repro.obs.trace import traced
 from repro.sim import timing as _timing
 from repro.sim.timing import charge
 
@@ -73,6 +74,7 @@ class AuditLog:
 
     # -- the write path ----------------------------------------------------------
 
+    @traced("audit")
     def append_buffered(
         self,
         subject: str,

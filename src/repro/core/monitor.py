@@ -55,11 +55,12 @@ from repro.core.policy import (
     classify_ordinal,
 )
 from repro.obs import counters as obs_counters
-from repro.obs.trace import NULL_SPAN
+from repro.obs.trace import span_attr, traced
 from repro.sim import timing as _timing
 from repro.sim.timing import charge
 from repro.tpm.constants import ordinal_name
-from repro.tpm.marshal import ParsedCommand, parse_command
+from repro.tpm.dispatch import parse_command
+from repro.tpm.marshal import ParsedCommand
 from repro.util.errors import IdentityError, MarshalError
 from repro.xen.domain import Domain
 
@@ -254,19 +255,8 @@ class AccessControlMonitor(Monitor):
         self, caller: Domain, instance_id: int, bound_identity_hex: Optional[str],
         wire: bytes,
     ) -> AuthorizationResult:
-        ctx = _timing._current_context
-        tracer = ctx.tracer
-        if tracer is None:
-            result = self._authorize(
-                caller, instance_id, bound_identity_hex, wire, NULL_SPAN, None
-            )
-        else:
-            with tracer.start_span("authz", {"instance": instance_id}) as span:
-                result = self._authorize(
-                    caller, instance_id, bound_identity_hex, wire, span,
-                    tracer,
-                )
-        if ctx.registry is not None:
+        result = self._authorize(caller, instance_id, bound_identity_hex, wire)
+        if _timing._current_context.registry is not None:
             cls = (
                 classify_ordinal(result.parsed.ordinal).value
                 if result.parsed is not None else "malformed"
@@ -295,19 +285,20 @@ class AccessControlMonitor(Monitor):
             return None
         return gate(instance_id, command_class)
 
+    @traced("authz", lambda self, caller, instance_id, *rest: {
+        "instance": instance_id})
     def _authorize(
         self, caller: Domain, instance_id: int, bound_identity_hex: Optional[str],
-        wire: bytes, span, tracer,
+        wire: bytes,
     ) -> AuthorizationResult:
         self.checks += 1
-        with NULL_SPAN if tracer is None else tracer.start_span("parse"):
-            try:
-                parsed = parse_command(wire)
-            except MarshalError as exc:  # malformed frames: deny early
-                return self._deny(
-                    f"dom{caller.domid}", instance_id, "malformed",
-                    f"unparseable command frame: {exc}",
-                )
+        try:
+            parsed = parse_command(wire)
+        except MarshalError as exc:  # malformed frames: deny early
+            return self._deny(
+                f"dom{caller.domid}", instance_id, "malformed",
+                f"unparseable command frame: {exc}",
+            )
         ordinal = parsed.ordinal
         command_class = classify_ordinal(ordinal)
         operation = ordinal_name(ordinal)
@@ -336,13 +327,13 @@ class AccessControlMonitor(Monitor):
                 self.cache_hits += 1
                 _AC_CACHE_HIT.inc()
                 charge("ac.policy.cache_hit")
-                span.set("cache", "hit")
+                span_attr("cache", "hit")
                 subject, reason = hit
                 return self._allow(
                     subject, instance_id, operation, reason, parsed
                 )
             self.cache_misses += 1
-            span.set("cache", "miss")
+            span_attr("cache", "miss")
             _AC_CACHE_MISS.inc()
 
         subject, decision = decide(
@@ -365,11 +356,7 @@ class AccessControlMonitor(Monitor):
         log so operators can distinguish chaos from attack."""
         if self.config.audit:
             self.audit.append_buffered(
-                subject="manager",
-                instance=instance_id,
-                operation="FAULT-DEGRADED",
-                allowed=False,
-                reason=str(exc),
+                "manager", instance_id, "FAULT-DEGRADED", False, str(exc)
             )
 
     def on_rebind_denied(
@@ -391,11 +378,9 @@ class AccessControlMonitor(Monitor):
         parsed: ParsedCommand,
     ) -> AuthorizationResult:
         if self.config.audit:
-            tracer = _timing._current_context.tracer
-            with NULL_SPAN if tracer is None else tracer.start_span("audit"):
-                self.audit.append_buffered(
-                    subject, instance_id, operation, True, reason
-                )
+            self.audit.append_buffered(
+                subject, instance_id, operation, True, reason
+            )
         return AuthorizationResult(
             allowed=True, subject=subject, operation=operation, reason=reason,
             parsed=parsed,
@@ -406,11 +391,9 @@ class AccessControlMonitor(Monitor):
     ) -> AuthorizationResult:
         self.denials += 1
         if self.config.audit:
-            tracer = _timing._current_context.tracer
-            with NULL_SPAN if tracer is None else tracer.start_span("audit"):
-                self.audit.append_buffered(
-                    subject, instance_id, operation, False, reason
-                )
+            self.audit.append_buffered(
+                subject, instance_id, operation, False, reason
+            )
         return AuthorizationResult(
             allowed=False, subject=subject, operation=operation, reason=reason
         )

@@ -1,8 +1,9 @@
 """End-to-end observability: trace spans, counters, sinks.
 
 The pipeline (frontend → ring → backend → manager → monitor → engine) is
-instrumented with :func:`span` / :func:`inc` hook sites.  Both read
-their observer off the run context (``tracer`` and ``registry`` on
+instrumented with one :func:`traced` hook per layer plus :func:`inc`
+counter sites.  Both read their observer off the run context
+(``tracer`` and ``registry`` on
 :class:`~repro.sim.timing.TimingContext`): with no observer set every
 hook is a single ``None`` check, charges no virtual time, and touches no
 simulation state — the integration suite asserts that traced and
@@ -41,7 +42,9 @@ from repro.obs.trace import (
     Span,
     Tracer,
     span,
+    span_attr,
     span_event,
+    traced,
     validate_span_tree,
 )
 from repro.sim.timing import observe
@@ -63,7 +66,9 @@ __all__ = [
     "observe",
     "set_gauge",
     "span",
+    "span_attr",
     "span_event",
+    "traced",
     "validate_span_tree",
     "validate_tree_dict",
 ]

@@ -16,27 +16,21 @@ simulator knows about:
 
 A run's tracer lives on the run context
 (:attr:`~repro.sim.timing.TimingContext.tracer`, set with
-:func:`~repro.sim.timing.observe`).  Instrumented code calls :func:`span`
-at named sites.  The contract is the same as the fault injector's
-:func:`~repro.faults.injector.fire`: with no tracer on the context the
-call is one ``None`` check returning a shared no-op span, charges
-nothing to the virtual clock, and touches no simulation state — so
-tracing can never alter behaviour, enabled or not.  Spans only ever
-*read* the clock; they never advance it.
+:func:`~repro.sim.timing.observe`).  The contract is the same as the
+fault injector's :func:`~repro.faults.injector.fire`: with no tracer on
+the context a hook is one ``None`` check, charges nothing to the virtual
+clock, and touches no simulation state — so tracing can never alter
+behaviour, enabled or not.  Spans only ever *read* the clock; they never
+advance it.
 
-Hot call sites go one step further and use the **guarded-span pattern**::
-
-    tracer = _timing._current_context.tracer
-    if tracer is None:
-        ...plain body...
-    else:
-        with tracer.start_span("site", {"key": value}):
-            ...body...
-
-so the disabled path never even builds the attribute dict.  Attribute
-dicts handed to :meth:`Tracer.start_span` are captured **lazily** — the
-span stores the reference, copies nothing, and materializes a dict only
-if :meth:`Span.set` is called later.
+The pipeline layers carry **one hook per layer**: :func:`traced`, a
+decorator on each layer's existing entry method.  With no tracer the
+wrapper reads the context once and calls through, so traced and untraced
+runs share one code path; its optional ``attrs`` callable runs only when
+a span is recorded, and :func:`span_attr` sets attributes found
+mid-call.  Other sites use :func:`span`, which returns a shared no-op
+span when tracing is off.  Attribute dicts are captured **lazily** — the
+span stores the reference and copies nothing until :meth:`Span.set`.
 
 A :class:`Tracer` keeps the open-span stack.  When a root span closes,
 the finished tree is emitted to the tracer's sink (see
@@ -58,15 +52,16 @@ Two cost features keep tracing near-free:
   the root count and the seed: no RNG, no clock, so two same-seed runs
   sample the identical trees (replay-identical) and neither timebase is
   perturbed.  While a root is suppressed the tracer hides itself from
-  the run context, so nested guarded sites take their tracer-is-None
-  path — a skipped tree costs one sampling check, not one call per span.
+  the run context, so nested hooks take their tracer-is-None path — a
+  skipped tree costs one sampling check, not one span per layer.
   Counters are unaffected by sampling — they stay exact.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from typing import Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.sim import timing as _timing
 from repro.sim.timing import get_context
@@ -212,9 +207,9 @@ class _SkipScope:
 
     While a root is suppressed the tracer **hides itself** from the run
     context (its ``tracer`` reads ``None`` for the root's dynamic extent),
-    so every nested guarded site takes its plain tracer-is-None path — a
-    skipped tree costs one sampling check at the root, not one call per
-    span.  ``__exit__`` puts the tracer back on that context.
+    so every nested hook takes its plain tracer-is-None path — a skipped
+    tree costs one sampling check at the root, not one span per layer.
+    ``__exit__`` puts the tracer back on that context.
     One shared instance per tracer; skipped roots cannot nest (nested
     sites never see the tracer while it is hidden).
     """
@@ -281,21 +276,12 @@ class Tracer:
     def keep_root(self) -> bool:
         """Consume the next root index; ``True`` if that root is recorded.
 
-        The root-site fast path: a known-root call site asks for the
-        sampling verdict *before* building its attribute dict, and on
-        ``False`` runs its body with the context's tracer hidden by hand
-        (plain try/finally, no span machinery at all)::
-
-            if tracer._stack or tracer.keep_root():
-                with tracer.start_span("site", {...}): ...body...
-            else:
-                ctx.tracer = None
-                try: ...body...
-                finally: ctx.tracer = tracer
-
-        On ``True`` the verdict is remembered, so the immediately
-        following ``start_span`` does not re-sample (the root is not
-        double-counted).
+        The root fast path of :func:`traced`: the hook asks for the
+        sampling verdict *before* building its attribute dict and, on
+        ``False``, runs the call with the context's tracer hidden (no
+        span machinery at all).  On ``True`` the verdict is remembered,
+        so the immediately following ``start_span`` does not re-sample
+        (the root is not double-counted).
         """
         index = self.roots_seen
         self.roots_seen = index + 1
@@ -400,6 +386,47 @@ class Tracer:
         return self._stack[-1] if self._stack else None
 
 
+def traced(name: str, attrs: Optional[Callable[..., Dict]] = None):
+    """Decorator: open span ``name`` around every call of the function.
+
+    ``attrs`` receives the call's arguments and returns the span's
+    attribute dict; it runs only when a span is recorded.  Positional
+    arguments only: a ``**kwargs`` pass-through costs every call on the
+    command path.  A sampled-out root runs with the tracer hidden from
+    the context (restored even if the call raises), so every hook
+    nested under it takes the untraced path.
+    """
+    timing = _timing
+
+    def decorate(fn):
+        def hooked(*args):
+            ctx = timing._current_context
+            tracer = ctx.tracer
+            if tracer is None:
+                return fn(*args)
+            if not tracer._stack and not tracer.keep_root():
+                ctx.tracer = None
+                try:
+                    return fn(*args)
+                finally:
+                    ctx.tracer = tracer
+            with tracer.start_span(
+                name, None if attrs is None else attrs(*args)
+            ):
+                return fn(*args)
+
+        return functools.update_wrapper(hooked, fn)
+
+    return decorate
+
+
+def span_attr(key: str, value) -> None:
+    """Set an attribute on the innermost open span (no-op untraced)."""
+    tracer = _timing._current_context.tracer
+    if tracer is not None and tracer._stack:
+        tracer._stack[-1].set(key, value)
+
+
 def span(name: str, **attrs):
     """Open a span at a hook site; a shared no-op when tracing is off."""
     tracer = _timing._current_context.tracer
@@ -411,11 +438,8 @@ def span(name: str, **attrs):
 def span_event(name: str, **attrs) -> None:
     """Annotate the innermost open span (no-op when tracing is off)."""
     tracer = _timing._current_context.tracer
-    if tracer is None:
-        return
-    current = tracer.current_span()
-    if current is not None:
-        current.add_event(name, **attrs)
+    if tracer is not None and tracer._stack:
+        tracer._stack[-1].add_event(name, **attrs)
 
 
 def validate_span_tree(root: Span) -> None:

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from repro.obs.trace import NULL_SPAN
-from repro.sim import timing as _timing
+from repro.obs.trace import traced
 from repro.sim.timing import charge
 from repro.tpm import marshal
 from repro.tpm.constants import (
@@ -32,6 +31,10 @@ from repro.util.bytesio import ByteReader
 from repro.util.errors import MarshalError, TpmError
 
 Handler = Callable[["CommandContext"], bytes]
+
+#: the frame parser of the whole command path: the access-control monitor
+#: and the executor both parse through it, under one ``parse`` span
+parse_command = traced("parse")(marshal.parse_command)
 
 _HANDLERS: Dict[int, Handler] = {}
 
@@ -114,26 +117,18 @@ class TpmExecutor:
         ``parsed`` and the frame is not re-parsed here.
         """
         charge("tpm.cmd.base")
-        tracer = _timing._current_context.tracer
         if parsed is None:
-            span = (
-                NULL_SPAN if tracer is None else tracer.start_span("parse")
-            )
-            with span:
-                try:
-                    parsed = marshal.parse_command(wire)
-                except (MarshalError, TpmError) as exc:
-                    self.failures += 1
-                    code = exc.code if isinstance(exc, TpmError) else TPM_FAIL
-                    return marshal.build_response(code)
+            try:
+                parsed = parse_command(wire)
+            except (MarshalError, TpmError) as exc:
+                self.failures += 1
+                code = exc.code if isinstance(exc, TpmError) else TPM_FAIL
+                return marshal.build_response(code)
         self.commands_executed += 1
-        if tracer is None:
-            return self._run(parsed, locality)
-        with tracer.start_span(
-            "tpm.execute", {"ordinal": ordinal_name(parsed.ordinal)}
-        ):
-            return self._run(parsed, locality)
+        return self._run(parsed, locality)
 
+    @traced("tpm.execute", lambda self, parsed, locality: {
+        "ordinal": ordinal_name(parsed.ordinal)})
     def _run(self, parsed: ParsedCommand, locality: int) -> bytes:
         fn = _HANDLERS.get(parsed.ordinal)
         if fn is None:

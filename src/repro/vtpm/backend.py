@@ -22,6 +22,7 @@ import functools
 
 from repro.faults import injector as _injector
 from repro.faults import with_retry
+from repro.obs.trace import traced
 from repro.resilience.breaker import BreakerState
 from repro.resilience.health import HealthState
 from repro.sim import timing as _timing
@@ -87,6 +88,8 @@ class VtpmBackend:
 
     # -- the forwarding path --------------------------------------------------------
 
+    @traced("backend.forward", lambda self, wire: {
+        "instance": self.instance_id})
     def _forward(self, wire: bytes) -> bytes:
         """Prefix the configured instance number and hand to the manager.
 
@@ -102,15 +105,6 @@ class VtpmBackend:
         lockstep.  A fault that outlives the budget degrades into a
         ``TPM_FAIL`` frame, never a dead ring.
         """
-        tracer = _timing._current_context.tracer
-        if tracer is None:
-            return self._forward_inner(wire)
-        with tracer.start_span(
-            "backend.forward", {"instance": self.instance_id}
-        ):
-            return self._forward_inner(wire)
-
-    def _forward_inner(self, wire: bytes) -> bytes:
         supervisor = self.supervision
         # The latency clock read exists only for the supervisor's
         # deadline watchdog; the unsupervised hot path skips it.
@@ -178,6 +172,8 @@ class VtpmBackend:
             )
         return response
 
+    @traced("backend.forward_batch", lambda self, wires: {
+        "instance": self.instance_id, "frames": len(wires)})
     def _forward_batch(self, wires: list) -> list:
         """Hand a whole ring batch to the manager in one call.
 
@@ -188,16 +184,6 @@ class VtpmBackend:
         batch-average latency (individual frames are not separately
         clocked inside one notify).
         """
-        tracer = _timing._current_context.tracer
-        if tracer is None:
-            return self._forward_batch_inner(wires)
-        with tracer.start_span(
-            "backend.forward_batch",
-            {"instance": self.instance_id, "frames": len(wires)},
-        ):
-            return self._forward_batch_inner(wires)
-
-    def _forward_batch_inner(self, wires: list) -> list:
         supervisor = self.supervision
         start_us = (
             get_context().clock.now_us if supervisor is not None else 0.0

@@ -7,7 +7,7 @@ exposes a bytes-in/bytes-out callable for :class:`~repro.tpm.TpmClient`.
 
 from __future__ import annotations
 
-from repro.sim import timing as _timing
+from repro.obs.trace import traced
 from repro.util.errors import VtpmError
 from repro.xen.domain import Domain
 from repro.xen.hypervisor import Xen
@@ -44,6 +44,8 @@ class VtpmFrontend:
         self.xen.store.write(self.guest.domid, f"{self.device_path}/state", "4")
         self.connected = True
 
+    @traced("frontend.command", lambda self, wire: {
+        "domid": self.guest.domid})
     def transport(self, wire: bytes) -> bytes:
         """Send one TPM command through the split driver."""
         if not self.connected:
@@ -51,23 +53,10 @@ class VtpmFrontend:
                 f"vTPM front-end of {self.guest.name} is not connected"
             )
         self.guest.require_running()
-        ctx = _timing._current_context
-        tracer = ctx.tracer
-        if tracer is None:
-            return self.ring.send_command(wire)
-        if tracer._stack or tracer.keep_root():
-            with tracer.start_span(
-                "frontend.command", {"domid": self.guest.domid}
-            ):
-                return self.ring.send_command(wire)
-        # Sampled-out root: hide the tracer for the whole tree so every
-        # nested guarded site takes its free tracer-is-None path.
-        ctx.tracer = None
-        try:
-            return self.ring.send_command(wire)
-        finally:
-            ctx.tracer = tracer
+        return self.ring.send_command(wire)
 
+    @traced("frontend.batch", lambda self, wires: {
+        "domid": self.guest.domid, "frames": len(wires)})
     def transport_batch(self, wires: list) -> list:
         """Send several TPM commands in one ring submission (one kick)."""
         if not self.connected:
@@ -75,21 +64,7 @@ class VtpmFrontend:
                 f"vTPM front-end of {self.guest.name} is not connected"
             )
         self.guest.require_running()
-        ctx = _timing._current_context
-        tracer = ctx.tracer
-        if tracer is None:
-            return self.ring.send_batch(wires)
-        if tracer._stack or tracer.keep_root():
-            with tracer.start_span(
-                "frontend.batch",
-                {"domid": self.guest.domid, "frames": len(wires)},
-            ):
-                return self.ring.send_batch(wires)
-        ctx.tracer = None
-        try:
-            return self.ring.send_batch(wires)
-        finally:
-            ctx.tracer = tracer
+        return self.ring.send_batch(wires)
 
     def close(self) -> None:
         self.xen.store.write(self.guest.domid, f"{self.device_path}/state", "6")

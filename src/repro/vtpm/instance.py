@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.crypto.random_source import RandomSource
+from repro.obs.trace import traced
 from repro.sim import timing as _timing
 from repro.sim.timing import get_context
 from repro.tpm import constants as tc
@@ -78,6 +79,7 @@ class VtpmInstance:
         self._memory = memory
         self.sync_to_memory()
 
+    @traced("serialize", lambda self: {"instance": self.instance_id})
     def sync_to_memory(self) -> int:
         """Mirror the serialized TPM state into the manager's frames.
 
@@ -104,6 +106,7 @@ class VtpmInstance:
         length = int.from_bytes(self.state_region.read(0, 4), "big")
         return self.state_region.read(4, length)
 
+    @traced("engine", lambda self, *rest: {"instance": self.instance_id})
     def execute(self, wire: bytes, locality: int = 0, parsed=None) -> bytes:
         """Run one TPM command on this instance and refresh the image.
 
@@ -111,14 +114,7 @@ class VtpmInstance:
         parses every command once); it also lets us skip the state-image
         refresh for ordinals that cannot alter the serialized state.
         """
-        tracer = _timing._current_context.tracer
-        if tracer is None:
-            response = self.device.execute(wire, locality=locality, parsed=parsed)
-        else:
-            with tracer.start_span("engine", {"instance": self.instance_id}):
-                response = self.device.execute(
-                    wire, locality=locality, parsed=parsed
-                )
+        response = self.device.execute(wire, locality=locality, parsed=parsed)
         self.commands_handled += 1
         self.last_activity_us = _timing._current_context.clock.now_us
         if parsed is not None:
@@ -128,13 +124,7 @@ class VtpmInstance:
         else:
             ordinal = -1
         if ordinal not in _SERIALIZATION_NEUTRAL:
-            if tracer is None:
-                self.sync_to_memory()
-            else:
-                with tracer.start_span(
-                    "serialize", {"instance": self.instance_id}
-                ):
-                    self.sync_to_memory()
+            self.sync_to_memory()
         return response
 
     def idle_us(self) -> float:

@@ -20,8 +20,7 @@ from repro.faults import injector as _injector
 from repro.faults import with_retry
 from repro.obs import counters as obs_counters
 from repro.obs import trace as obs_trace
-from repro.obs.trace import NULL_SPAN
-from repro.sim import timing as _timing
+from repro.obs.trace import traced
 from repro.sim.timing import charge
 from repro.tpm import marshal
 from repro.tpm.constants import TPM_AUTHFAIL, TPM_FAIL
@@ -165,11 +164,7 @@ class VtpmManager:
         which is exactly what the monitor's binding check validates.
         """
         charge("vtpm.dispatch")
-        tracer = _timing._current_context.tracer
-        if tracer is None:
-            return self._dispatch_one(caller_domid, instance_id, wire, locality)
-        with tracer.start_span("manager.dispatch", {"instance": instance_id}):
-            return self._dispatch_one(caller_domid, instance_id, wire, locality)
+        return self._dispatch_one(caller_domid, instance_id, wire, locality)
 
     def handle_batch(
         self,
@@ -191,39 +186,31 @@ class VtpmManager:
         charge("vtpm.dispatch")
         _VTPM_BATCHES.inc()
         _VTPM_BATCHED_COMMANDS.add(len(wires))
-        tracer = _timing._current_context.tracer
         # The injector cannot be (un)installed mid-batch — the driver loop
         # is synchronous — so one check covers the whole notify.  Without
         # an injector, _dispatch_one can never raise an injected fault and
         # the per-wire retry envelope is pure overhead.
-        faultless = _injector._current_injector is None
+        if _injector._current_injector is None:
+            return [
+                self._dispatch_one(caller_domid, instance_id, wire, locality)
+                for wire in wires
+            ]
         responses = []
         for wire in wires:
-            span = (
-                NULL_SPAN if tracer is None
-                else tracer.start_span("manager.dispatch",
-                                       {"instance": instance_id})
-            )
-            with span:
-                if faultless:
-                    responses.append(
-                        self._dispatch_one(
-                            caller_domid, instance_id, wire, locality
-                        )
+            try:
+                responses.append(
+                    with_retry(
+                        self._dispatch_one, caller_domid, instance_id,
+                        wire, locality, site="vtpm.manager.batch",
+                        jitter_token=instance_id,
                     )
-                    continue
-                try:
-                    responses.append(
-                        with_retry(
-                            self._dispatch_one, caller_domid, instance_id,
-                            wire, locality, site="vtpm.manager.batch",
-                            jitter_token=instance_id,
-                        )
-                    )
-                except RetryExhausted as exc:
-                    responses.append(self.fault_response(instance_id, exc))
+                )
+            except RetryExhausted as exc:
+                responses.append(self.fault_response(instance_id, exc))
         return responses
 
+    @traced("manager.dispatch", lambda self, domid, instance_id, *rest: {
+        "instance": instance_id})
     def _dispatch_one(
         self, caller_domid: int, instance_id: int, wire: bytes, locality: int = 0
     ) -> bytes:
@@ -242,7 +229,7 @@ class VtpmManager:
             return marshal.build_response(TPM_AUTHFAIL)
         self._load_working_registers(instance)
         try:
-            return instance.execute(wire, locality=locality, parsed=verdict.parsed)
+            return instance.execute(wire, locality, verdict.parsed)
         except FaultInjected as exc:
             if exc.transient:
                 raise  # the back-end's bounded retry resends the same wire

@@ -17,6 +17,29 @@ from repro.util.errors import ReproError
 from repro.workloads.mixes import CommandMix, OPERATIONS
 
 
+#: most entries (rate × duration × guests) a trace may expect: generation
+#: is linear in it, so finite but huge requests fail closed up front
+MAX_EXPECTED_ENTRIES = 1_000_000
+
+
+def check_trace_size(
+    guests: int, rate_per_guest_per_sec: float, duration_s: float
+) -> None:
+    """Raise :class:`ReproError` unless these trace parameters are usable."""
+    if guests <= 0:
+        raise ReproError(f"need at least one guest, got {guests}")
+    if not all(
+        math.isfinite(v) and v > 0 for v in (rate_per_guest_per_sec, duration_s)
+    ):
+        raise ReproError("rate and duration must be finite and positive")
+    expected = rate_per_guest_per_sec * duration_s * guests
+    if expected > MAX_EXPECTED_ENTRIES:
+        raise ReproError(
+            f"rate x duration x guests expects {expected:.3g} trace "
+            f"entries, above the limit of {MAX_EXPECTED_ENTRIES:,}"
+        )
+
+
 @dataclass(frozen=True)
 class TraceEntry:
     """One operation arrival."""
@@ -49,12 +72,7 @@ class SyntheticTrace:
         mix: CommandMix,
     ) -> "SyntheticTrace":
         """Poisson arrivals per guest, merged and time-sorted."""
-        if guests <= 0:
-            raise ReproError(f"need at least one guest, got {guests}")
-        if not all(
-            math.isfinite(v) and v > 0 for v in (rate_per_guest_per_sec, duration_s)
-        ):
-            raise ReproError("rate and duration must be finite and positive")
+        check_trace_size(guests, rate_per_guest_per_sec, duration_s)
         rate_us = rate_per_guest_per_sec / 1e6
         duration_us = duration_s * 1e6
         entries: List[TraceEntry] = []

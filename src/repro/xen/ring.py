@@ -26,7 +26,7 @@ from typing import Callable, Optional
 from repro.faults import FaultKind, fire, note_recovery, note_retry
 from repro.faults import injector as _injector
 from repro.obs import counters as obs_counters
-from repro.sim import timing as _timing
+from repro.obs.trace import traced
 from repro.sim.timing import charge, get_context
 from repro.util.errors import RetryExhausted, RingError
 from repro.xen.memory import PAGE_SIZE, PhysicalMemory
@@ -241,19 +241,13 @@ class TpmRing:
     def _on_front_event(self, _port: int) -> None:
         self._response_ready = True
 
+    @traced("ring.send", lambda self, command: {"bytes": len(command)})
     def send_command(self, command: bytes) -> bytes:
         """Carry one TPM command to the back-end and return its response."""
         if len(command) > MAX_PAYLOAD:
             raise RingError(f"command of {len(command)} bytes exceeds page window")
         if self._backend is None:
             raise RingError("no back-end connected to this vTPM ring")
-        tracer = _timing._current_context.tracer
-        if tracer is None:
-            return self._send_command(command)
-        with tracer.start_span("ring.send", {"bytes": len(command)}):
-            return self._send_command(command)
-
-    def _send_command(self, command: bytes) -> bytes:
         _RING_KICKS.inc()
         charge("xen.ring.transfer", len(command))
         self._memory.write(
@@ -275,6 +269,8 @@ class TpmRing:
         self.commands_carried += 1
         return response
 
+    @traced("ring.send_batch", lambda self, commands: {
+        "frames": len(commands)})
     def send_batch(self, commands: list) -> list:
         """Carry several TPM commands in one page write and one kick.
 
@@ -286,13 +282,6 @@ class TpmRing:
             return []
         if self._backend is None:
             raise RingError("no back-end connected to this vTPM ring")
-        tracer = _timing._current_context.tracer
-        if tracer is None:
-            return self._send_batch(commands)
-        with tracer.start_span("ring.send_batch", {"frames": len(commands)}):
-            return self._send_batch(commands)
-
-    def _send_batch(self, commands: list) -> list:
         _RING_KICKS.inc()
         _RING_BATCHED_FRAMES.add(len(commands))
         submission = _pack_vector(STATUS_BATCH, commands)

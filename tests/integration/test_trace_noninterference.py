@@ -230,3 +230,62 @@ class TestJsonlRoundTrip:
         assert sum(validate_tree_dict(t) for t in trees) == (
             tracer.spans_started
         )
+
+
+def _flatten(span, origin, depth=0, out=None):
+    """(depth, name, attrs, start, end) rows, virtual µs from the root."""
+    out = [] if out is None else out
+    out.append((depth, span.name, dict(span.attrs or {}),
+                round(span.start_virtual_us - origin, 4),
+                round(span.end_virtual_us - origin, 4)))
+    for child in span.children:
+        _flatten(child, origin, depth + 1, out)
+    return out
+
+
+class TestPipelineSpanTree:
+    """The per-layer hooks record one pinned tree per command: layer
+    names, attributes, nesting and virtual intervals.  ``serialize`` is
+    the state-image refresh inside ``VtpmInstance.execute``, so it nests
+    under ``engine``."""
+
+    PCR_READ = [
+        (0, "frontend.command", {"domid": 1}, 0.0, 25.2382),
+        (1, "ring.send", {"bytes": 14}, 0.0, 25.2382),
+        (2, "backend.forward", {"instance": 1}, 2.7308, 23.3052),
+        (3, "manager.dispatch", {"instance": 1}, 7.2308, 23.3052),
+        (4, "authz", {"instance": 1, "cache": "hit"}, 7.7308, 9.3052),
+        (5, "parse", {}, 7.7308, 7.7308),
+        (5, "audit", {}, 7.8108, 9.3052),
+        (4, "engine", {"instance": 1}, 9.3052, 23.3052),
+        (5, "tpm.execute", {"ordinal": "TPM_PCRRead"}, 23.3052, 23.3052),
+    ]
+    EXTEND = [
+        (0, "frontend.command", {"domid": 1}, 0.0, 27.9718),
+        (1, "ring.send", {"bytes": 34}, 0.0, 27.9718),
+        (2, "backend.forward", {"instance": 1}, 2.7748, 26.0388),
+        (3, "manager.dispatch", {"instance": 1}, 7.2748, 26.0388),
+        (4, "authz", {"instance": 1, "cache": "miss"}, 7.7748, 10.1708),
+        (5, "parse", {}, 7.7748, 7.7748),
+        (5, "audit", {}, 8.6748, 10.1708),
+        (4, "engine", {"instance": 1}, 10.1708, 26.0388),
+        (5, "tpm.execute", {"ordinal": "TPM_Extend"}, 24.1708, 26.0388),
+        (5, "serialize", {"instance": 1}, 26.0388, 26.0388),
+    ]
+
+    @pytest.mark.parametrize("op, expected", [
+        ("pcr_read", PCR_READ), ("extend", EXTEND),
+    ])
+    def test_tree_is_pinned(self, op, expected):
+        from repro.workloads.mixes import GuestSession
+
+        fresh_timing_context()
+        platform = build_platform(AccessMode.IMPROVED, seed=1)
+        session = GuestSession(
+            platform.add_guest("trace-vm"), platform.rng.fork("trace-sess")
+        )
+        tracer = Tracer(InMemorySink())
+        with observe(tracer=tracer):
+            session.run_operation(op)
+        (root,) = tracer.sink.roots
+        assert _flatten(root, root.start_virtual_us) == expected

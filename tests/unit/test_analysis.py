@@ -204,6 +204,17 @@ class TestSecretFlow:
         )
         assert len(findings) == 1
 
+    def test_positive_secret_param_to_traced_attrs(self):
+        findings = run_rule(
+            "secret-flow",
+            "repro/vtpm/x.py",
+            "@traced('engine', lambda self, owner_auth: {'auth': owner_auth})\n"
+            "def take_ownership(self, owner_auth):\n"
+            "    return len(owner_auth)\n",
+        )
+        assert len(findings) == 1
+        assert "traced(…) attrs lambda" in findings[0].message
+
     def test_positive_taint_through_rewrap(self):
         findings = run_rule(
             "secret-flow",
@@ -322,6 +333,15 @@ class TestCounterRegistry:
             "def f(tracer):\n    tracer.start_span('weird.op')\n",
         )
         assert len(findings) == 1
+
+    def test_positive_traced_hook_name(self):
+        findings = run_rule(
+            "counter-registry",
+            "repro/vtpm/x.py",
+            "@traced('Bad-Name')\ndef f(self):\n    pass\n",
+        )
+        assert len(findings) == 1
+        assert "grammar" in findings[0].message
 
     def test_negative_declared_names(self):
         src = (

@@ -126,6 +126,30 @@ class TestParser:
         assert exc.value.code == 2
         assert "finite number above 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--rate", "1e12", "--duration", "1e6"],
+        ["trace", "--rate", "1e200", "--duration", "1e200"],
+        ["trace", "--rate", "300000", "--guests", "4"],
+    ])
+    def test_huge_synthetic_trace_is_a_usage_error(
+        self, argv, capsys, monkeypatch
+    ):
+        # Finite but huge: the expected entry count is checked before any
+        # generation starts (a started generation fails the test at once
+        # instead of running until it is killed).
+        from repro.workloads.traces import SyntheticTrace
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("trace generation started")
+
+        monkeypatch.setattr(SyntheticTrace, "poisson", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "above the limit of 1,000,000" in err
+
     def test_zero_top_still_means_off(self):
         assert build_parser().parse_args(["profile", "--top", "0"]).top == 0
 

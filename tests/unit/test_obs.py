@@ -20,7 +20,9 @@ from repro.obs import (
     load_jsonl,
     observe,
     span,
+    span_attr,
     span_event,
+    traced,
     validate_span_tree,
     validate_tree_dict,
 )
@@ -390,6 +392,102 @@ class TestSampling:
         assert tracer.roots_emitted == 4
         assert reg.value("sampling.events") == 32  # every tree, kept or not
         assert reg.value("sampling.named") == 32
+
+
+class _Layer:
+    """A two-stage pipeline stand-in instrumented with the per-layer hook."""
+
+    def __init__(self):
+        self.attrs_calls = 0
+        self.seen_tracers = []
+
+    def _attrs(self, x):
+        self.attrs_calls += 1
+        return {"x": x}
+
+    @traced("engine", _attrs)
+    def outer(self, x):
+        self.seen_tracers.append(get_context().tracer)
+        charge("tpm.cmd.base")
+        return self.inner(x) + 1
+
+    @traced("tpm.execute")
+    def inner(self, x):
+        span_attr("doubled", True)
+        return x * 2
+
+    @traced("engine")
+    def boom(self):
+        self.seen_tracers.append(get_context().tracer)
+        self.inner(1)
+        raise ValueError("boom")
+
+
+class TestTracedHook:
+    """``traced`` is the one span hook per layer: untraced calls pass
+    straight through, traced calls nest, sampled-out roots hide the
+    tracer for the whole call."""
+
+    def test_untraced_call_passes_through(self):
+        assert get_context().tracer is None
+        layer = _Layer()
+        assert layer.outer(3) == 7
+        assert layer.attrs_calls == 0  # attrs built only for recorded spans
+        assert layer.seen_tracers == [None]
+        span_attr("ignored", 1)  # no tracer: a no-op
+
+    def test_traced_call_records_nested_spans(self):
+        tracer = Tracer(InMemorySink())
+        layer = _Layer()
+        with observe(tracer=tracer):
+            assert layer.outer(3) == 7
+        (root,) = tracer.sink.roots
+        assert root.name == "engine" and root.attrs == {"x": 3}
+        (child,) = root.children
+        assert child.name == "tpm.execute"
+        assert child.attrs == {"doubled": True}
+        assert root.duration_virtual_us > 0
+        validate_span_tree(root)
+        assert layer.attrs_calls == 1
+        assert tracer.open_spans == 0
+
+    def test_wrapper_keeps_the_method_name(self):
+        assert _Layer.outer.__name__ == "outer"
+        assert _Layer.outer.__wrapped__.__name__ == "outer"
+
+    def test_sampled_out_root_records_nothing(self):
+        tracer = Tracer(InMemorySink(), sample_rate=4)
+        layer = _Layer()
+        with observe(tracer=tracer):
+            for x in range(4):
+                assert layer.outer(x) == 2 * x + 1
+            assert get_context().tracer is tracer
+        assert tracer.roots_seen == 4
+        assert tracer.roots_emitted == 1
+        assert tracer.roots_skipped == 3
+        # Only the kept root's two spans ever started; inside the skipped
+        # roots the context read None, so the nested hook recorded nothing.
+        assert tracer.spans_started == 2
+        assert layer.seen_tracers == [tracer, None, None, None]
+        assert layer.attrs_calls == 1
+        assert [r.attrs for r in tracer.sink.roots] == [{"x": 0}]
+
+    def test_tracer_restored_when_sampled_out_root_raises(self):
+        tracer = Tracer(InMemorySink(), sample_rate=4, sample_seed=1)
+        layer = _Layer()
+        with observe(tracer=tracer):
+            with pytest.raises(ValueError, match="boom"):
+                layer.boom()  # root index 0: sampled out
+            assert layer.seen_tracers == [None]
+            assert get_context().tracer is tracer
+            with pytest.raises(ValueError, match="boom"):
+                layer.boom()  # root index 1: recorded, still closed
+        assert tracer.roots_skipped == 1
+        assert tracer.roots_emitted == 1
+        assert tracer.open_spans == 0
+        (root,) = tracer.sink.roots
+        assert [c.name for c in root.children] == ["tpm.execute"]
+        validate_span_tree(root)
 
 
 class TestSpanPooling:

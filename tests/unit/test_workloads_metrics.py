@@ -120,6 +120,24 @@ class TestSyntheticTrace:
         with pytest.raises(ReproError):
             SyntheticTrace.poisson(RandomSource(7), 1, rate, duration, MIX_MIXED)
 
+    @pytest.mark.parametrize("guests, rate, duration", [
+        (1, 1e12, 1e6),
+        (1, 1e200, 1e200),
+        (4, 300_000, 1),
+    ])
+    def test_huge_expected_size_rejected(self, guests, rate, duration):
+        # Finite but huge traces fail closed before generation: the rng
+        # is never forked, so a missing bound fails here instead of
+        # running until the process is killed.
+        class Unforkable:
+            def fork(self, label):
+                raise AssertionError("trace generation started")
+
+        with pytest.raises(ReproError, match="above the limit"):
+            SyntheticTrace.poisson(
+                Unforkable(), guests, rate, duration, MIX_MIXED
+            )
+
     def test_loads_rejects_garbage(self):
         with pytest.raises(ReproError):
             SyntheticTrace.loads("no header here")
