@@ -146,9 +146,11 @@ def run_scaling(host_counts=HOST_COUNTS, guests=GUESTS, steps=STEPS,
 
 
 def main(argv=None) -> int:
+    from repro.cli import positive_int
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--guests", type=int, default=GUESTS)
-    parser.add_argument("--steps", type=int, default=STEPS)
+    parser.add_argument("--guests", type=positive_int, default=GUESTS)
+    parser.add_argument("--steps", type=positive_int, default=STEPS)
     parser.add_argument(
         "--check", action="store_true",
         # argparse %-formats help text, so the rendered "%" is doubled.

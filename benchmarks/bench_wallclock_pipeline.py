@@ -158,9 +158,11 @@ def run_profiles(commands: int = 3_000, batch_sizes=(1, 16),
 
 
 def main(argv=None) -> int:
+    from repro.cli import positive_int
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--commands", type=int, default=3_000,
+        "--commands", type=positive_int, default=3_000,
         help="commands per timed slice (each variant is timed in many "
              "short slices, each paired with a bare slice)",
     )
@@ -237,6 +239,13 @@ def main(argv=None) -> int:
         )
         return 0
 
+    # Merge, never overwrite: the cluster and verify benchmarks own their
+    # sections of the same file.
+    if args.output.exists():
+        committed = json.loads(args.output.read_text())
+        for section in ("cluster", "verify"):
+            if section in committed:
+                payload[section] = committed[section]
     args.output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")
     return 0

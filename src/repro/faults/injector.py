@@ -1,35 +1,37 @@
-"""The deterministic fault injector and its ambient installation.
+"""The deterministic fault injector and the hooks that reach it.
 
-Instrumented code calls :func:`fire` at named hook sites (the fast path is
-one ``None`` check when no injector is installed).  The installed
-:class:`FaultInjector` consults the plan's specs for that site, counts the
-call, and — when a spec's schedule is due — emits a :class:`FaultEvent`.
-The *caller* decides what the event means (tear a write, drop a kick,
-raise :class:`~repro.util.errors.FaultInjected`); the injector only
-decides *whether* and records everything it decided.
+Instrumented code calls :func:`fire` at named hook sites.  The hook reads
+the injector off the run context
+(:attr:`~repro.sim.timing.TimingContext.injector`, set with
+``observe(injector=…)``); with none there the fast path is one ``None``
+check.  The :class:`FaultInjector` consults the plan's specs for that
+site, counts the call, and — when a spec's schedule is due — emits a
+:class:`FaultEvent`.  The *caller* decides what the event means (tear a
+write, drop a kick, raise :class:`~repro.util.errors.FaultInjected`); the
+injector only decides *whether* and records everything it decided.
 
 Determinism: scheduling depends only on per-site call counts, the virtual
 clock, and a DRBG forked from the plan seed — so two runs of the same
 seeded workload observe byte-identical fault sequences, which is what the
 chaos demo asserts.
 
-Every fired event, retry and recovery is mirrored into the injector's
-counters, optionally into an audit log (as ``FAULT:*`` records on the
-hash chain) and a :class:`~repro.metrics.recorder.LatencyRecorder`
-(sample names ``fault.<kind>``, ``fault.retry``, ``fault.recovery``) so
-chaos is first-class observable, not a side channel.
+Every fired event, retry and recovery is kept once, on the injector
+(``fault_counts``, ``retries``, ``recoveries`` and the running
+``recovery_us`` total), counted in the run's counter registry, and
+optionally written to an audit log (as ``FAULT:*`` records on the hash
+chain), so chaos is first-class observable, not a side channel.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.random_source import RandomSource
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.obs import counters as obs_counters
 from repro.obs import trace as obs_trace
+from repro.sim import timing as _timing
 from repro.sim.timing import get_context
 from repro.util.errors import FaultInjected
 
@@ -67,15 +69,11 @@ class FaultInjector:
     audit:
         Optional audit log (anything with the :class:`AuditLog.append`
         signature); fired faults and recoveries land on the hash chain.
-    metrics:
-        Optional :class:`LatencyRecorder`; fault counts and recovery
-        latencies are recorded as samples.
     """
 
-    def __init__(self, plan: FaultPlan, audit=None, metrics=None) -> None:
+    def __init__(self, plan: FaultPlan, audit=None) -> None:
         self.plan = plan
         self.audit = audit
-        self.metrics = metrics
         self._rng = RandomSource(f"fault-plan-{plan.name}-{plan.seed}".encode())
         self._site_calls: Dict[str, int] = {}
         self._spec_fires: Dict[Tuple[str, int], int] = {}
@@ -83,14 +81,13 @@ class FaultInjector:
         self.fault_counts: Dict[str, int] = {}
         self.retries = 0
         self.recoveries = 0
-        self.enabled = True
+        #: total virtual microseconds the noted recoveries took
+        self.recovery_us = 0.0
 
     # -- the hook entry point -----------------------------------------------------
 
     def fire(self, site: str, **ctx) -> Optional[FaultEvent]:
         """Count one call at ``site``; return an event if a fault is due."""
-        if not self.enabled:
-            return None
         index = self._site_calls.get(site, 0)
         self._site_calls[site] = index + 1
         now_us = get_context().clock.now_us
@@ -149,19 +146,16 @@ class FaultInjector:
                 allowed=True,
                 reason=f"{event.site}#{event.call_index}",
             )
-        if self.metrics is not None:
-            self.metrics.record(f"fault.{kind}", 0.0)
 
     # -- recovery bookkeeping ------------------------------------------------------
 
     def note_retry(self, site: str) -> None:
         self.retries += 1
         obs_counters.inc("faults.retries", site=site)
-        if self.metrics is not None:
-            self.metrics.record("fault.retry", 0.0)
 
     def note_recovery(self, site: str, elapsed_us: float = 0.0) -> None:
         self.recoveries += 1
+        self.recovery_us += max(0.0, elapsed_us)
         obs_counters.inc("faults.recoveries", site=site)
         if self.audit is not None:
             self.audit.append(
@@ -171,8 +165,6 @@ class FaultInjector:
                 allowed=True,
                 reason=f"recovered after injected fault ({elapsed_us:.1f} us)",
             )
-        if self.metrics is not None:
-            self.metrics.record("fault.recovery", max(0.0, elapsed_us))
 
     # -- reporting ------------------------------------------------------------------
 
@@ -191,45 +183,24 @@ class FaultInjector:
         }
 
 
-# -- ambient installation ------------------------------------------------------------
-
-_current_injector: Optional[FaultInjector] = None
-
-
-def install(injector: Optional[FaultInjector]) -> Optional[FaultInjector]:
-    """Install (or clear, with ``None``) the ambient injector."""
-    global _current_injector
-    previous = _current_injector
-    _current_injector = injector
-    return previous
-
-
-def current() -> Optional[FaultInjector]:
-    return _current_injector
-
-
-@contextlib.contextmanager
-def injector_scope(injector: FaultInjector) -> Iterator[FaultInjector]:
-    """``with injector_scope(inj):`` — faults fire only inside the block."""
-    previous = install(injector)
-    try:
-        yield injector
-    finally:
-        install(previous)
+# -- the hooks instrumented code calls ------------------------------------------------
 
 
 def fire(site: str, **ctx) -> Optional[FaultEvent]:
     """Hook entry point used by instrumented code; no-op when chaos is off."""
-    if _current_injector is None:
+    injector = _timing._current_context.injector
+    if injector is None:
         return None
-    return _current_injector.fire(site, **ctx)
+    return injector.fire(site, **ctx)
 
 
 def note_retry(site: str) -> None:
-    if _current_injector is not None:
-        _current_injector.note_retry(site)
+    injector = _timing._current_context.injector
+    if injector is not None:
+        injector.note_retry(site)
 
 
 def note_recovery(site: str, elapsed_us: float = 0.0) -> None:
-    if _current_injector is not None:
-        _current_injector.note_recovery(site, elapsed_us)
+    injector = _timing._current_context.injector
+    if injector is not None:
+        injector.note_recovery(site, elapsed_us)

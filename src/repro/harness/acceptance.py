@@ -26,7 +26,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.faults import FaultInjector, FaultPlan, injector_scope
+from repro.faults import FaultInjector, FaultPlan
 from repro.sim.timing import fresh_timing_context, get_context, observe
 from repro.tpm.constants import NUM_PCRS
 from repro.util.errors import AcceptanceError
@@ -100,11 +100,11 @@ class WorkloadRun:
             self._oracles.extend(attach_oracle(p) for p in platforms)
 
     @contextlib.contextmanager
-    def measured(self, audit, metrics=None) -> Iterator[FaultInjector]:
+    def measured(self, audit) -> Iterator[FaultInjector]:
         """The measured part: the plan's injector armed, the clock started."""
-        self.injector = FaultInjector(self.plan, audit=audit, metrics=metrics)
+        self.injector = FaultInjector(self.plan, audit=audit)
         self._start_us = get_context().clock.now_us
-        with injector_scope(self.injector):
+        with observe(injector=self.injector):
             yield self.injector
 
     def outcome(self) -> Dict[str, object]:

@@ -32,7 +32,6 @@ from repro.harness.acceptance import (
     state_digest,
 )
 from repro.harness.builder import Platform, build_platform
-from repro.metrics.recorder import LatencyRecorder
 from repro.obs import CounterRegistry, Tracer
 from repro.tpm import marshal
 from repro.tpm.client import TpmClient, pcr_read_wire
@@ -120,6 +119,18 @@ class ChaosReport(RunReport):
         return lines
 
 
+def _fault_sample_counts(injector) -> Dict[str, int]:
+    """Per-name fault sample counts, keyed ``fault.<kind>``,
+    ``fault.retry`` and ``fault.recovery`` (names with no samples are
+    absent), in name order."""
+    counts = {f"fault.{kind}": n for kind, n in injector.fault_counts.items()}
+    if injector.retries:
+        counts["fault.retry"] = injector.retries
+    if injector.recoveries:
+        counts["fault.recovery"] = injector.recoveries
+    return dict(sorted(counts.items()))
+
+
 def _direct_transport(manager, domid: int, instance_id: int):
     """A backend-equivalent transport for a migrated guest: same bounded
     retry on transient faults, same TPM_FAIL degradation on exhaustion."""
@@ -179,14 +190,13 @@ def _chaos_workload(seed: int, commands: int, mode: AccessMode,
         )
 
     workload_rng = platform_a.rng.fork("chaos-workload")
-    metrics = LatencyRecorder()
     clients: Dict[str, TpmClient] = {
         "anchor": anchor.client,
         "mover": mover.client,
     }
     mover_home: Tuple[Platform, str] = (platform_a, mover.domain.uuid)
 
-    with run.measured(platform_a.audit, metrics) as injector:
+    with run.measured(platform_a.audit) as injector:
         for step in range(1, commands + 1):
             name = "anchor" if workload_rng.randint_below(2) == 0 else "mover"
             client = clients[name]
@@ -249,7 +259,6 @@ def _chaos_workload(seed: int, commands: int, mode: AccessMode,
             ),
         }
 
-    recovery = metrics.samples("fault.recovery")
     return ChaosReport(
         seed=seed,
         commands=commands,
@@ -260,10 +269,11 @@ def _chaos_workload(seed: int, commands: int, mode: AccessMode,
             1 for r in platform_a.audit.records()
             if r.operation.startswith("FAULT")
         ),
-        metrics_counts={
-            name: len(metrics.samples(name)) for name in metrics.names()
-        },
-        mean_recovery_us=(sum(recovery) / len(recovery)) if recovery else 0.0,
+        metrics_counts=_fault_sample_counts(injector),
+        mean_recovery_us=(
+            injector.recovery_us / injector.recoveries
+            if injector.recoveries else 0.0
+        ),
         audit_chain_hex=platform_a.audit.chain_head().hex(),
         **run.outcome(),
     )

@@ -17,12 +17,13 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import AccessControlConfig, AccessMode
 from repro.core.policy import ANY, CommandClass, PolicyEngine
+from repro.harness.acceptance import claim
 from repro.harness.builder import Platform, build_platform, fresh_timing_context
 from repro.metrics.recorder import LatencyRecorder
 from repro.metrics.stats import Summary, overhead_pct, summarize
 from repro.metrics.tables import format_table
 from repro.obs import trace as obs_trace
-from repro.sim.timing import CostLedger, get_context, ledger_scope
+from repro.sim.timing import CostLedger, get_context, ledger_scope, observe
 from repro.workloads.mixes import (
     MIX_MIXED,
     OPERATIONS,
@@ -535,6 +536,14 @@ class RecoveryResult:
         )
 
 
+def _claim_recovered(recovered: int, count: int, label: str) -> None:
+    """A restart must bring back every instance it started with."""
+    claim(
+        recovered == count,
+        f"{label} recovered {recovered} of {count} instances",
+    )
+
+
 def run_recovery_sweep(
     instance_counts: Sequence[int] = (1, 2, 4, 8),
     seed: int = 123,
@@ -557,7 +566,7 @@ def run_recovery_sweep(
             clock = get_context().clock
             start = clock.now_us
             recovered = platform.restart_manager()
-            assert recovered == count
+            _claim_recovered(recovered, count, "restart")
             points.append((count, mode.value, (clock.now_us - start) / 1000.0))
     return RecoveryResult(points=points)
 
@@ -599,13 +608,7 @@ def run_faulted_recovery(
     machinery doing real work, next to a clean hard restart of the same
     population.
     """
-    from repro.faults import (
-        FaultInjector,
-        FaultKind,
-        FaultPlan,
-        injector_scope,
-        spec,
-    )
+    from repro.faults import FaultInjector, FaultKind, FaultPlan, spec
     from repro.util.errors import FaultInjected
 
     def _populated(label: str, count: int) -> Platform:
@@ -624,7 +627,8 @@ def run_faulted_recovery(
         platform = _populated("clean", count)
         clock = get_context().clock
         start = clock.now_us
-        assert platform.restart_manager(clean=False) == count
+        recovered = platform.restart_manager(clean=False)
+        _claim_recovered(recovered, count, "clean hard restart")
         clean_ms = (clock.now_us - start) / 1000.0
 
         # Faulted: the checkpoint preceding the crash dies mid-write...
@@ -634,7 +638,7 @@ def run_faulted_recovery(
             specs=(spec(FaultKind.STORAGE_TORN_WRITE, at=(0,),
                         transient=False),),
         )
-        with injector_scope(FaultInjector(crash_plan)):
+        with observe(injector=FaultInjector(crash_plan)):
             try:
                 platform.manager.save_all()
             except FaultInjected:
@@ -646,8 +650,10 @@ def run_faulted_recovery(
         )
         clock = get_context().clock
         start = clock.now_us
-        with injector_scope(FaultInjector(recovery_plan)) as injector:
-            assert platform.restart_manager(clean=False) == count
+        injector = FaultInjector(recovery_plan)
+        with observe(injector=injector):
+            recovered = platform.restart_manager(clean=False)
+        _claim_recovered(recovered, count, "faulted hard restart")
         faulted_ms = (clock.now_us - start) / 1000.0
         points.append(
             (

@@ -127,13 +127,12 @@ class Supervisor:
         # observe hooks run once per frame, and resolving four dicts by
         # uuid there is measurable at bench rates.  The admission budgets
         # are per-instance constants (AdmissionConfig never mutates after
-        # attach), so their values are flattened too.
+        # attach), so whether a lone frame may take the fast path is
+        # flattened too.
         backend._sup_record = record
         backend._sup_breaker = self._breakers[vm.uuid]
         admission = self._admission[vm.uuid]
         backend._sup_admission = admission
-        backend._sup_alpha = admission.config.ewma_alpha
-        backend._sup_deadline_us = self.command_deadline_us
         backend._sup_admit_fast = (
             admission.config.max_depth > 0
             and admission.config.deadline_us >= 0.0
@@ -268,7 +267,7 @@ class Supervisor:
             and breaker.state is BreakerState.CLOSED
             and elapsed_us <= self.command_deadline_us
             and len(response) >= 10
-            and response[6:10] == b"\x00\x00\x00\x00"
+            and response.startswith(b"\x00\x00\x00\x00", 6)
         ):
             # All-green fast path: a TPM_SUCCESS inside the deadline on a
             # healthy record with a closed breaker.  record_success() on a

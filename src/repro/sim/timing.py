@@ -167,14 +167,17 @@ class TimingContext:
     The simulation is single-threaded, so a module-level current context is
     safe and saves plumbing a handle through every substrate call.  Besides
     the (model, clock, ledger-stack) triple used by :func:`charge`, the
-    context carries the run's observers: ``tracer`` (a
+    context carries the run's observers, ``tracer`` (a
     :class:`~repro.obs.trace.Tracer`) and ``registry`` (a
-    :class:`~repro.obs.counters.CounterRegistry`).  Hook sites read them
-    straight off the context; ``None`` means "not observed", which is how
-    a bare ``TimingContext()`` starts.  Use :func:`observe` to set them.
+    :class:`~repro.obs.counters.CounterRegistry`), and its fault
+    ``injector`` (a :class:`~repro.faults.injector.FaultInjector`).  Hook
+    sites read them straight off the context; ``None`` means "not
+    observed" or "no faults", which is how a bare ``TimingContext()``
+    starts.  Use :func:`observe` to set them.
     """
 
-    __slots__ = ("model", "clock", "_ledgers", "tracer", "registry")
+    __slots__ = ("model", "clock", "_ledgers", "tracer", "registry",
+                 "injector")
 
     def __init__(self, model: Optional[CostModel] = None,
                  clock: Optional[VirtualClock] = None) -> None:
@@ -183,6 +186,7 @@ class TimingContext:
         self._ledgers: list[CostLedger] = []
         self.tracer = None
         self.registry = None
+        self.injector = None
 
     def charge(self, op: str, units: float = 1.0) -> float:
         """Charge one operation: advance the clock, feed open ledgers.
@@ -228,13 +232,15 @@ def fresh_timing_context(cpu_scale: float = 1.0) -> TimingContext:
     Experiments call this first so measurements start at t=0 with no
     charges leaked from module import or previous runs.  The current
     observers carry over, so an installed tracer or registry sees the
-    epoch change and its epoch guard fires on a stale write.
+    epoch change and its epoch guard fires on a stale write.  The
+    current fault injector carries over too.
     """
     global _current_context
     previous = _current_context
     ctx = TimingContext(model=CostModel(cpu_scale=cpu_scale))
     ctx.tracer = previous.tracer
     ctx.registry = previous.registry
+    ctx.injector = previous.injector
     _current_context = ctx
     return ctx
 
@@ -260,25 +266,29 @@ def check_epoch(bound: Optional[TimingContext], owner: str,
 
 
 @contextlib.contextmanager
-def observe(tracer=None, registry=None) -> Iterator[TimingContext]:
-    """Attach observers to the current context for the block.
+def observe(tracer=None, registry=None,
+            injector=None) -> Iterator[TimingContext]:
+    """Attach observers or a fault injector to the current context for
+    the block.
 
-    ``None`` leaves that observer as it is.  On exit the previous
-    observers come back, on the context the block started under and on
-    any context a ``fresh_timing_context()`` inside the block installed.
+    ``None`` leaves that slot as it is.  On exit the previous values come
+    back, on the context the block started under and on any context a
+    ``fresh_timing_context()`` inside the block installed.
     """
     ctx = _current_context
-    previous = (ctx.tracer, ctx.registry)
+    previous = (ctx.tracer, ctx.registry, ctx.injector)
     if tracer is not None:
         ctx.tracer = tracer
     if registry is not None:
         ctx.registry = registry
+    if injector is not None:
+        ctx.injector = injector
     try:
         yield ctx
     finally:
-        ctx.tracer, ctx.registry = previous
+        ctx.tracer, ctx.registry, ctx.injector = previous
         current = _current_context
-        current.tracer, current.registry = previous
+        current.tracer, current.registry, current.injector = previous
 
 
 def charge(op: str, units: float = 1.0) -> float:

@@ -20,11 +20,8 @@ from __future__ import annotations
 
 import functools
 
-from repro.faults import injector as _injector
 from repro.faults import with_retry
 from repro.obs.trace import traced
-from repro.resilience.breaker import BreakerState
-from repro.resilience.health import HealthState
 from repro.sim import timing as _timing
 from repro.sim.timing import get_context
 from repro.util.errors import IdentityError, RetryExhausted, VtpmError
@@ -43,9 +40,7 @@ class VtpmBackend:
     _sup_record = None
     _sup_breaker = None
     _sup_admission = None
-    #: flattened per-instance admission constants (see Supervisor.attach)
-    _sup_alpha = 0.0
-    _sup_deadline_us = 0.0
+    #: flattened per-instance admission constant (see Supervisor.attach)
     _sup_admit_fast = False
 
     def __init__(
@@ -108,67 +103,33 @@ class VtpmBackend:
         supervisor = self.supervision
         # The latency clock read exists only for the supervisor's
         # deadline watchdog; the unsupervised hot path skips it.
-        start_us = (
-            _timing._current_context.clock._now_us
-            if supervisor is not None else 0.0
-        )
-        if _injector._current_injector is None:
+        ctx = _timing._current_context
+        start_us = ctx.clock._now_us if supervisor is not None else 0.0
+        if ctx.injector is None:
             # Fault-free fast path: handle_command can only raise an
-            # injected fault through the ambient injector, so with no
-            # injector installed the retry envelope (clock read, loop
-            # frame, backoff bookkeeping) is pure overhead.
+            # injected fault through the context's injector, so with none
+            # set the retry envelope (clock read, loop frame, backoff
+            # bookkeeping) is pure overhead.
             response = self.manager.handle_command(
                 self.front_domid, self.instance_id, wire,
                 self.frontend.locality,
             )
-            if supervisor is not None:
-                elapsed_us = (
-                    _timing._current_context.clock._now_us - start_us
+        else:
+            try:
+                response = with_retry(
+                    self.manager.handle_command,
+                    self.front_domid, self.instance_id, wire,
+                    self.frontend.locality,
+                    site="vtpm.backend.forward",
+                    jitter_token=self.instance_id,
                 )
-                record = self._sup_record
-                breaker = self._sup_breaker
-                if (
-                    record is not None
-                    and record.state is HealthState.HEALTHY
-                    and breaker.state is BreakerState.CLOSED
-                    and elapsed_us <= self._sup_deadline_us
-                    and len(response) >= 10
-                    and response.startswith(b"\x00\x00\x00\x00", 6)
-                ):
-                    # Inlined all-green observation (see
-                    # Supervisor.observe_response): EWMA update plus the
-                    # exact success-streak assignments the slow path makes
-                    # when everything is healthy.
-                    admission = self._sup_admission
-                    alpha = self._sup_alpha
-                    if alpha > 0.0:
-                        admission.service_estimate_us += alpha * (
-                            elapsed_us - admission.service_estimate_us
-                        )
-                    breaker.consecutive_failures = 0
-                    record.consecutive_failures = 0
-                    record.consecutive_successes += 1
-                else:
-                    supervisor.observe_response(
-                        self, wire, response, elapsed_us
-                    )
-            return response
-        try:
-            response = with_retry(
-                self.manager.handle_command,
-                self.front_domid, self.instance_id, wire,
-                self.frontend.locality,
-                site="vtpm.backend.forward",
-                jitter_token=self.instance_id,
-            )
-        except RetryExhausted as exc:
-            if supervisor is not None:
-                supervisor.on_exhausted(self, exc)
-            return self.manager.fault_response(self.instance_id, exc)
+            except RetryExhausted as exc:
+                if supervisor is not None:
+                    supervisor.on_exhausted(self, exc)
+                return self.manager.fault_response(self.instance_id, exc)
         if supervisor is not None:
             supervisor.observe_response(
-                self, wire, response,
-                get_context().clock.now_us - start_us,
+                self, wire, response, ctx.clock._now_us - start_us
             )
         return response
 

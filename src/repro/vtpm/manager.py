@@ -16,11 +16,11 @@ from repro.core.config import AccessControlConfig, AccessMode
 from repro.core.identity import IdentityRegistry
 from repro.core.monitor import AccessControlMonitor, BaselineMonitor, Monitor
 from repro.core.protection import MemoryProtector
-from repro.faults import injector as _injector
 from repro.faults import with_retry
 from repro.obs import counters as obs_counters
 from repro.obs import trace as obs_trace
 from repro.obs.trace import traced
+from repro.sim import timing as _timing
 from repro.sim.timing import charge
 from repro.tpm import marshal
 from repro.tpm.constants import TPM_AUTHFAIL, TPM_FAIL
@@ -186,11 +186,11 @@ class VtpmManager:
         charge("vtpm.dispatch")
         _VTPM_BATCHES.inc()
         _VTPM_BATCHED_COMMANDS.add(len(wires))
-        # The injector cannot be (un)installed mid-batch — the driver loop
+        # The injector cannot be set or cleared mid-batch — the driver loop
         # is synchronous — so one check covers the whole notify.  Without
         # an injector, _dispatch_one can never raise an injected fault and
         # the per-wire retry envelope is pure overhead.
-        if _injector._current_injector is None:
+        if _timing._current_context.injector is None:
             return [
                 self._dispatch_one(caller_domid, instance_id, wire, locality)
                 for wire in wires

@@ -24,9 +24,9 @@ import struct
 from typing import Callable, Optional
 
 from repro.faults import FaultKind, fire, note_recovery, note_retry
-from repro.faults import injector as _injector
 from repro.obs import counters as obs_counters
 from repro.obs.trace import traced
+from repro.sim import timing as _timing
 from repro.sim.timing import charge, get_context
 from repro.util.errors import RetryExhausted, RingError
 from repro.xen.memory import PAGE_SIZE, PhysicalMemory
@@ -327,7 +327,7 @@ class TpmRing:
         timeout and re-kicks; we model that bounded-retry loop here, so a
         lossy event channel degrades latency rather than correctness.
         """
-        if _injector._current_injector is None:
+        if _timing._current_context.injector is None:
             # Fault-free fast path: no kwargs dict, no clock read, no loop.
             self._events.notify(self.port, self.front_domid)
             return

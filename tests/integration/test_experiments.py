@@ -4,19 +4,30 @@ These are the same functions the benchmark harness drives, run at small
 sizes so the full test suite stays fast.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.harness.builder import Platform
 from repro.harness.experiments import (
     run_ablation,
     run_attack_matrix_experiment,
     run_command_latency,
+    run_faulted_recovery,
     run_instance_creation,
     run_migration_sweep,
     run_policy_scaling,
+    run_recovery_sweep,
     run_throughput_scaling,
     run_webapp_benchmark,
 )
+from repro.util.errors import AcceptanceError
 from repro.workloads.mixes import OPERATIONS
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestCommandLatency:
@@ -103,3 +114,33 @@ class TestAblation:
         singles = [rows[k] for k in rows if k.startswith("only ")]
         assert all(s >= 0.0 for s in singles)
         assert result.breakdown  # the ledger saw ac.* charges
+
+
+class TestRecoveryClaims:
+    def test_faulted_recovery_measures_under_python_O(self):
+        # ``python -O`` strips asserts: the restarts must not live in one.
+        code = (
+            "from repro.harness.experiments import run_faulted_recovery\n"
+            "(_, _, faulted_ms, _, recoveries), = run_faulted_recovery(\n"
+            "    instance_counts=(1,)).points\n"
+            "print(faulted_ms, recoveries)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        faulted_ms, recoveries = proc.stdout.split()
+        assert float(faulted_ms) > 0.0
+        assert int(recoveries) >= 1
+
+    @pytest.mark.parametrize(
+        "runner", [run_recovery_sweep, run_faulted_recovery]
+    )
+    def test_short_restart_fails_the_claim(self, monkeypatch, runner):
+        monkeypatch.setattr(
+            Platform, "restart_manager", lambda self, clean=True: 0
+        )
+        with pytest.raises(AcceptanceError, match="recovered 0 of 1"):
+            runner(instance_counts=(1,))

@@ -10,7 +10,8 @@ different threat than an injected runtime fault.
 
 import pytest
 
-from repro.faults import FaultInjector, FaultKind, FaultPlan, injector_scope, spec
+from repro.faults import FaultInjector, FaultKind, FaultPlan, spec
+from repro.sim.timing import observe
 from repro.util.errors import (
     FaultInjected,
     MarshalError,
@@ -32,7 +33,8 @@ class TestStorageFaults:
         guest.client.extend(9, b"\x21" * 20)
         expected = guest.client.pcr_read(9)
         plan = _plan(spec(FaultKind.STORAGE_TORN_WRITE, at=(0,)))
-        with injector_scope(FaultInjector(plan)) as injector:
+        injector = FaultInjector(plan)
+        with observe(injector=injector):
             platform.manager.save_instance(guest.instance_id)
         # The first write died mid-flush; the retry committed the same
         # generation, so restore sees exactly the saved state.
@@ -52,7 +54,8 @@ class TestStorageFaults:
         platform.manager.save_instance(guest.instance_id)
         platform.manager.destroy_instance(guest.instance_id, persist=False)
         plan = _plan(spec(FaultKind.STORAGE_READ_CORRUPT, at=(0,)))
-        with injector_scope(FaultInjector(plan)) as injector:
+        injector = FaultInjector(plan)
+        with observe(injector=injector):
             restored = platform.manager.restore_instance(guest.domain)
         guest.backend.rebind(restored.instance_id)
         assert injector.fault_counts["storage-read-corrupt"] == 1
@@ -81,7 +84,7 @@ class TestStorageFaults:
                 match={"name": f"*gen-{latest:08d}"},
             )
         )
-        with injector_scope(FaultInjector(plan)):
+        with observe(injector=FaultInjector(plan)):
             restored = platform.manager.restore_instance(guest.domain)
         guest.backend.rebind(restored.instance_id)
         assert platform.storage.fallbacks >= 1
@@ -93,7 +96,8 @@ class TestStorageFaults:
         for _ in range(3):
             platform.manager.save_instance(guest.instance_id)
         plan = _plan(spec(FaultKind.STORAGE_ENOSPC, at=(0,)))
-        with injector_scope(FaultInjector(plan)) as injector:
+        injector = FaultInjector(plan)
+        with observe(injector=injector):
             platform.manager.save_instance(guest.instance_id)
         assert injector.fault_counts["storage-enospc"] == 1
         generations = platform.storage.generations(guest.domain.uuid)
@@ -106,7 +110,7 @@ class TestStorageFaults:
         platform = improved_platform
         guest = platform.add_guest("g")
         plan = _plan(spec(FaultKind.STORAGE_TORN_WRITE, every=1))
-        with injector_scope(FaultInjector(plan)):
+        with observe(injector=FaultInjector(plan)):
             with pytest.raises(RetryExhausted):
                 platform.manager.save_instance(guest.instance_id)
         # The failed save never destroyed the running instance.
@@ -128,7 +132,7 @@ class TestCrashMidSave:
         plan = _plan(
             spec(FaultKind.STORAGE_TORN_WRITE, at=(0,), transient=False)
         )
-        with injector_scope(FaultInjector(plan)):
+        with observe(injector=FaultInjector(plan)):
             with pytest.raises(FaultInjected):
                 platform.manager.save_instance(guest.instance_id)
         # Hard restart: no clean flush; recovery walks past the torn
@@ -146,7 +150,7 @@ class TestCrashMidSave:
         plan = _plan(
             spec(FaultKind.STORAGE_TORN_WRITE, at=(0,), transient=False)
         )
-        with injector_scope(FaultInjector(plan)):
+        with observe(injector=FaultInjector(plan)):
             with pytest.raises(FaultInjected):
                 platform.manager.save_instance(guest.instance_id)
         # Both generation files exist on disk; the torn one is generation 2.
@@ -224,7 +228,8 @@ class TestRingFaults:
         platform = baseline_platform
         guest = platform.add_guest("g")
         plan = _plan(spec(FaultKind.RING_DROP_NOTIFY, at=(0, 1)))
-        with injector_scope(FaultInjector(plan)) as injector:
+        injector = FaultInjector(plan)
+        with observe(injector=injector):
             data = guest.client.get_random(8)
         assert len(data) == 8
         assert injector.fault_counts["ring-drop-notify"] == 2
@@ -238,7 +243,7 @@ class TestRingFaults:
         guest = platform.add_guest("g")
         before = get_context().clock.now_us
         plan = _plan(spec(FaultKind.RING_STALL, at=(0,)))
-        with injector_scope(FaultInjector(plan)):
+        with observe(injector=FaultInjector(plan)):
             assert len(guest.client.get_random(8)) == 8
         assert get_context().clock.now_us - before >= 4_000.0
 
@@ -246,7 +251,7 @@ class TestRingFaults:
         platform = baseline_platform
         guest = platform.add_guest("g")
         plan = _plan(spec(FaultKind.RING_DROP_NOTIFY, every=1))
-        with injector_scope(FaultInjector(plan)):
+        with observe(injector=FaultInjector(plan)):
             with pytest.raises(RetryExhausted):
                 guest.client.get_random(8)
         # Chaos off: the ring still works — no stuck state left behind.
@@ -260,7 +265,8 @@ class TestDeviceFaults:
         plan = _plan(
             spec(FaultKind.DEVICE_TRANSIENT, at=(0,), match={"device": "vtpm*"})
         )
-        with injector_scope(FaultInjector(plan)) as injector:
+        injector = FaultInjector(plan)
+        with observe(injector=injector):
             data = guest.client.get_random(8)
         assert len(data) == 8
         assert injector.fault_counts["device-transient"] == 1
@@ -277,7 +283,7 @@ class TestDeviceFaults:
         plan = _plan(
             spec(FaultKind.DEVICE_TRANSIENT, every=1, match={"device": "vtpm*"})
         )
-        with injector_scope(FaultInjector(plan)):
+        with observe(injector=FaultInjector(plan)):
             with pytest.raises(TpmError) as err:
                 guest.client.get_random(8)
         assert err.value.code == TPM_FAIL
@@ -329,7 +335,8 @@ class TestMigrationInterruption:
         expected = guest.client.pcr_read(6)
         target_vm = self._target_vm(destination, guest)
         plan = _plan(spec(FaultKind.MIGRATION_NET_DROP, at=(0,)))
-        with injector_scope(FaultInjector(plan)) as injector:
+        injector = FaultInjector(plan)
+        with observe(injector=injector):
             instance = migrate_with_recovery(
                 source.migration, destination.migration,
                 guest.domain.uuid, target_vm,
@@ -352,7 +359,8 @@ class TestMigrationInterruption:
         expected = guest.client.pcr_read(3)
         target_vm = self._target_vm(destination, guest)
         plan = _plan(spec(FaultKind.MIGRATION_DEST_CRASH, at=(0,)))
-        with injector_scope(FaultInjector(plan)) as injector:
+        injector = FaultInjector(plan)
+        with observe(injector=injector):
             instance = migrate_with_recovery(
                 source.migration, destination.migration,
                 guest.domain.uuid, target_vm,
@@ -368,7 +376,7 @@ class TestMigrationInterruption:
         guest = source.add_guest("mover")
         target_vm = self._target_vm(destination, guest)
         plan = _plan(spec(FaultKind.MIGRATION_NET_DROP, every=1))
-        with injector_scope(FaultInjector(plan)):
+        with observe(injector=FaultInjector(plan)):
             with pytest.raises(RetryExhausted):
                 migrate_with_recovery(
                     source.migration, destination.migration,
@@ -499,9 +507,9 @@ class TestAuditResilience:
         guest = platform.add_guest("g")
         plan = _plan(spec(FaultKind.RING_DROP_NOTIFY, at=(0,)))
         injector = FaultInjector(
-            plan, audit=platform.audit, metrics=None
+            plan, audit=platform.audit
         )
-        with injector_scope(injector):
+        with observe(injector=injector):
             guest.client.get_random(4)
         fault_records = [
             r for r in platform.audit.records()

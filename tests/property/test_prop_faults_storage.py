@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultInjector, FaultKind, FaultPlan, injector_scope, spec
+from repro.faults import FaultInjector, FaultKind, FaultPlan, spec
 from repro.harness.builder import fresh_timing_context
+from repro.sim.timing import observe
 from repro.util.errors import FaultInjected, RetryExhausted, VtpmError
 from repro.vtpm.storage import DiskStore, VtpmStorage
 
@@ -72,7 +73,7 @@ def test_restore_is_latest_committed_never_corrupt(
     fresh_timing_context()
     storage = VtpmStorage(DiskStore(), sealer=None)
     plan = _chaos_plan(seed, p_torn, p_enospc, hard_torn, corrupt_reads)
-    with injector_scope(FaultInjector(plan)):
+    with observe(injector=FaultInjector(plan)):
         committed = _run_saves(storage, payloads)
         if not committed:
             # Nothing ever landed: restore must refuse, not fabricate.
@@ -96,7 +97,8 @@ def test_same_seed_reproduces_identical_fault_sequence(payloads, seed):
         fresh_timing_context()
         storage = VtpmStorage(DiskStore(), sealer=None)
         plan = _chaos_plan(seed, 0.5, 0.3, False, 1)
-        with injector_scope(FaultInjector(plan)) as injector:
+        injector = FaultInjector(plan)
+        with observe(injector=injector):
             committed = _run_saves(storage, payloads)
             if committed:
                 storage.load_instance_state(UUID, None)
@@ -120,7 +122,7 @@ def test_hard_crash_mid_save_preserves_previous_generation(payloads, seed):
         seed=seed,
         name="prop-hard-crash",
     )
-    with injector_scope(FaultInjector(plan)):
+    with observe(injector=FaultInjector(plan)):
         for payload in payloads:
             with pytest.raises(FaultInjected):
                 storage.save_instance_state(UUID, None, payload)

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import AccessMode
-from repro.faults import FaultInjector, FaultKind, FaultPlan, injector_scope, spec
+from repro.faults import FaultInjector, FaultKind, FaultPlan, spec
 from repro.harness.builder import build_platform, fresh_timing_context
 from repro.resilience import (
     LEGAL_TRANSITIONS,
@@ -29,6 +29,7 @@ from repro.resilience import (
     HealthThresholds,
     InstanceHealth,
 )
+from repro.sim.timing import observe
 from repro.tpm import marshal
 from repro.tpm.constants import (
     TPM_AUTHFAIL,
@@ -165,7 +166,7 @@ def test_every_submitted_frame_gets_exactly_one_wellformed_response(
 
     submitted = 0
     responses = []
-    with injector_scope(injector):
+    with observe(injector=injector):
         for action in actions:
             if action[0] == "read":
                 submitted += 1

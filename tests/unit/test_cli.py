@@ -354,3 +354,52 @@ def test_bench_script_help_exits_zero(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+@pytest.mark.parametrize("script, args", [
+    ("bench_cluster_scaling.py", ["--steps", "0"]),
+    ("bench_cluster_scaling.py", ["--guests", "0"]),
+    ("bench_cluster_scaling.py", ["--guests", "-3"]),
+    ("bench_wallclock_pipeline.py", ["--commands", "0"]),
+])
+def test_bench_script_bad_count_exits_two(script, args):
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "benchmarks" / script), *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "usage:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_pipeline_bench_write_keeps_other_sections(tmp_path, monkeypatch):
+    import importlib.util
+    import json
+
+    path = REPO_ROOT / "benchmarks" / "bench_wallclock_pipeline.py"
+    module_spec = importlib.util.spec_from_file_location("bench_pipe", path)
+    bench = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(bench)
+    payload = {
+        "pre_overhaul_ops_per_sec": 1.0, "speedup_vs_pre_overhaul": 2.0,
+        "trace_sample_rate": 32, "traced_ops_per_sec": 1.0,
+        "trace_overhead_pct": 1.0, "traced_full_ops_per_sec": 1.0,
+        "trace_full_overhead_pct": 1.0, "supervised_ops_per_sec": 1.0,
+        "supervised_overhead_pct": 1.0, "ops_per_sec": 2.0,
+        "runs": [{"batch_size": 1, "ops_per_sec": 2.0,
+                  "virtual_us_per_cmd": 3.0, "cache_hit_rate": 1.0}],
+    }
+    monkeypatch.setattr(
+        bench, "run_profiles", lambda commands: dict(payload)
+    )
+    output = tmp_path / "bench.json"
+    output.write_text(json.dumps({
+        "ops_per_sec": 1.0, "cluster": {"shapes": [1]},
+        "verify": {"schedules": 7},
+    }))
+    assert bench.main(["--output", str(output)]) == 0
+    written = json.loads(output.read_text())
+    assert written["ops_per_sec"] == 2.0
+    assert written["cluster"] == {"shapes": [1]}
+    assert written["verify"] == {"schedules": 7}

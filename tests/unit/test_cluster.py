@@ -19,11 +19,11 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     KIND_SITES,
-    injector_scope,
     spec,
 )
 from repro.harness.builder import build_platform
 from repro.harness.acceptance import state_digest as _state_digest
+from repro.sim.timing import observe
 from repro.tpm import marshal
 from repro.tpm.constants import TPM_ORD_Extend, TPM_ORD_PcrRead
 from repro.util.errors import ClusterError, RetryExhausted
@@ -235,7 +235,7 @@ class TestMigrator:
             specs=(spec(FaultKind.PARTITION, every=1, max_fires=1,
                         match={"phase": "transfer"}),),
         )
-        with injector_scope(FaultInjector(plan)):
+        with observe(injector=FaultInjector(plan)):
             fleet.migrate("mover", target)
         record = fleet.migrator.trail[-1]
         assert record.outcome == "moved" and record.attempts == 2
@@ -251,7 +251,7 @@ class TestMigrator:
             specs=(spec(FaultKind.PARTITION, probability=1.0,
                         match={"phase": "transfer"}),),
         )
-        with injector_scope(FaultInjector(plan)):
+        with observe(injector=FaultInjector(plan)):
             with pytest.raises(RetryExhausted):
                 fleet.migrate("stuck", target)
         assert fleet.migrator.trail[-1].outcome == "failed"
@@ -273,7 +273,7 @@ class TestFleetLifecycle:
             specs=(spec(FaultKind.HOST_CRASH, every=1, max_fires=1,
                         match={"host": "h0"}),),
         )
-        with injector_scope(FaultInjector(plan)):
+        with observe(injector=FaultInjector(plan)):
             crashes = fleet.poll_host_faults()
         assert crashes == 1
         assert fleet.hosts["h0"].state is HostState.UP

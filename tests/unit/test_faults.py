@@ -10,15 +10,11 @@ from repro.faults import (
     FaultInjector,
     FaultKind,
     FaultPlan,
-    current,
     fire,
-    injector_scope,
-    install,
     spec,
     with_retry,
 )
-from repro.metrics.recorder import LatencyRecorder
-from repro.sim.timing import get_context
+from repro.sim.timing import get_context, observe
 from repro.util.errors import FaultInjected, RetryExhausted, SimulationError
 
 
@@ -112,9 +108,8 @@ class TestFaultInjector:
 
     def test_events_mirror_into_audit_and_metrics(self):
         audit = AuditLog()
-        metrics = LatencyRecorder()
         plan = _plan(spec(FaultKind.RING_STALL, at=(0,)))
-        injector = FaultInjector(plan, audit=audit, metrics=metrics)
+        injector = FaultInjector(plan, audit=audit)
         injector.fire("xen.ring.notify", port=3)
         injector.note_retry("xen.ring.notify")
         injector.note_recovery("xen.ring.notify", 42.0)
@@ -122,9 +117,9 @@ class TestFaultInjector:
         assert "FAULT:ring-stall" in operations
         assert "FAULT-RECOVERY" in operations
         assert audit.verify_chain()
-        assert len(metrics.samples("fault.ring-stall")) == 1
-        assert len(metrics.samples("fault.retry")) == 1
-        assert metrics.samples("fault.recovery") == [42.0]
+        assert injector.fault_counts["ring-stall"] == 1
+        assert injector.retries == 1
+        assert injector.recovery_us == 42.0
 
     def test_report_summarises_the_run(self):
         plan = _plan(spec(FaultKind.DEVICE_TRANSIENT, every=1, max_fires=2))
@@ -139,30 +134,25 @@ class TestFaultInjector:
 
 class TestAmbientInstallation:
     def test_no_injector_means_no_faults(self):
-        assert current() is None
+        assert get_context().injector is None
         assert fire("tpm.device.execute") is None
 
     def test_scope_installs_and_restores(self):
         injector = FaultInjector(_plan(spec(FaultKind.RING_STALL, every=1)))
-        with injector_scope(injector) as active:
-            assert current() is active
+        with observe(injector=injector):
+            assert get_context().injector is injector
             assert fire("xen.ring.notify") is not None
-        assert current() is None
+        assert get_context().injector is None
         assert fire("xen.ring.notify") is None
 
     def test_scopes_nest(self):
         outer = FaultInjector(_plan())
         inner = FaultInjector(_plan())
-        with injector_scope(outer):
-            with injector_scope(inner):
-                assert current() is inner
-            assert current() is outer
-        assert current() is None
-
-    def test_install_returns_previous(self):
-        injector = FaultInjector(_plan())
-        assert install(injector) is None
-        assert install(None) is injector
+        with observe(injector=outer):
+            with observe(injector=inner):
+                assert get_context().injector is inner
+            assert get_context().injector is outer
+        assert get_context().injector is None
 
 
 class TestWithRetry:
@@ -217,7 +207,7 @@ class TestWithRetry:
                 raise FaultInjected("device-transient", "unit", transient=True)
             return True
 
-        with injector_scope(injector):
+        with observe(injector=injector):
             assert with_retry(flaky, site="unit")
         assert injector.retries == 1
         assert injector.recoveries == 1

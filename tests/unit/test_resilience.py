@@ -9,7 +9,7 @@ import pytest
 from repro.core.config import AccessMode
 from repro.core.policy import CommandClass
 from repro.crypto.random_source import RandomSource
-from repro.faults import FaultInjector, FaultKind, FaultPlan, injector_scope, spec
+from repro.faults import FaultInjector, FaultKind, FaultPlan, spec
 from repro.harness.builder import build_platform
 from repro.resilience import (
     LEGAL_TRANSITIONS,
@@ -22,7 +22,7 @@ from repro.resilience import (
     InstanceHealth,
     PROBE_WIRE,
 )
-from repro.sim.timing import charge, get_context
+from repro.sim.timing import charge, get_context, observe
 from repro.tpm import marshal
 from repro.tpm.constants import (
     TPM_ORD_Extend,
@@ -478,7 +478,7 @@ class TestSupervisedRestart:
         """Drive reads at a wedged guest until quarantine resolves."""
         injector = FaultInjector(plan, audit=platform.audit)
         wire = _pcr_read_wire()
-        with injector_scope(injector):
+        with observe(injector=injector):
             for _ in range(pokes):
                 guest.frontend.transport(wire)
                 record = supervisor.record_for(guest.domain.uuid)
